@@ -16,6 +16,25 @@ from .activation import (
     run_protocol,
     verify_maximally_correlated,
 )
+from .correlations import (
+    Classification,
+    ClassificationReport,
+    ClassicalStateSpec,
+    OptimizerConfig,
+    QuantumnessReport,
+    classify,
+    classify_report,
+    geometric_quantumness,
+    make_classical_state,
+    one_particle_rdm,
+    projected_entropy,
+    quantumness,
+    quantumness_oracle,
+    relative_entropy,
+    shannon_entropy,
+    slater_rank_two_particle,
+    von_neumann_entropy,
+)
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -38,36 +57,16 @@ from .fock import (
     slater_state,
 )
 from .lift import (
-    HermitianGenerator,
     haar_random_unitary,
     hermitian_from_parameters,
+    lift_generator,
     lift_observable,
     lift_unitary,
     parameters_from_hermitian,
     parameters_from_unitary,
-    permanent,
     unitary_from_parameters,
 )
 from .measurement import MeasurementFamily, build_family, dephase, outcome_probabilities
-from .quantumness import (
-    Classification,
-    ClassificationReport,
-    ClassicalStateSpec,
-    OptimizerConfig,
-    QuantumnessReport,
-    classify,
-    classify_report,
-    geometric_quantumness,
-    make_classical_state,
-    one_particle_rdm,
-    projected_entropy,
-    quantumness,
-    quantumness_oracle,
-    relative_entropy,
-    shannon_entropy,
-    slater_rank_two_particle,
-    von_neumann_entropy,
-)
 from .statefile import ParsedState, parse_state_file, parse_state_text, write_state_file, write_state_text
 
 __version__ = "0.1.0"

@@ -108,7 +108,7 @@ def entanglement_maxcorr(js: JointState, tol: float = 1e-10) -> float:
     ok, worst = verify_maximally_correlated(js, tol)
     if not ok:
         raise NotMaxCorrelated(f"off-pattern magnitude {worst:.3e} exceeds {tol:.0e}")
-    from .quantumness import von_neumann_entropy
+    from .correlations import von_neumann_entropy
 
     reduced = partial_trace(js, Subsystem.SYSTEM)
     return von_neumann_entropy(reduced) - von_neumann_entropy(js.matrix)

@@ -22,6 +22,13 @@ from .activation import (
     run_protocol,
     verify_maximally_correlated,
 )
+from .correlations import (
+    OptimizerConfig,
+    classify_report,
+    quantumness,
+    quantumness_oracle,
+    von_neumann_entropy,
+)
 from .errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -32,13 +39,6 @@ from .errors import (
     UnknownOccupation,
 )
 from .fock import Statistics, enumerate_basis
-from .quantumness import (
-    OptimizerConfig,
-    classify_report,
-    quantumness,
-    quantumness_oracle,
-    von_neumann_entropy,
-)
 from .statefile import parse_state_file
 
 

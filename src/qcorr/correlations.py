@@ -14,18 +14,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
-from .fock import (
-    FockBasis,
-    Statistics,
-    check_density_matrix,
-    creation_matrix,
-    enumerate_basis,
-)
+from .fock import FockBasis, Statistics, check_density_matrix
 from .lift import (
+    _hopping,
     haar_random_unitary,
     hermitian_from_parameters,
+    lift_generator,
     lift_unitary,
     parameters_from_unitary,
+    unitary_from_parameters,
 )
 from .measurement import build_family, dephase
 
@@ -68,6 +65,13 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(value)
 
 
+def _outcome_entropy(G: np.ndarray, rho: np.ndarray) -> float:
+    """Shannon entropy of the Born distribution diag(G rho G+)."""
+    p = np.einsum("ij,jk,ik->i", G, rho, G.conj()).real
+    np.clip(p, 0.0, None, out=p)
+    return shannon_entropy(p)
+
+
 def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float:
     """Entropy of the outcome distribution of the single-particle measurement
     whose lifted rotation is Gamma(V): the Shannon entropy of
@@ -75,20 +79,12 @@ def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (basis.size, basis.size):
         raise DimensionMismatch(f"state shape {rho.shape} vs basis size {basis.size}")
-    G = lift_unitary(V, basis)
-    p = np.einsum("ij,jk,ik->i", G, rho, G.conj()).real
-    np.clip(p, 0.0, None, out=p)
-    return shannon_entropy(p)
+    return _outcome_entropy(lift_unitary(V, basis), rho)
 
 
 def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
     """d x d matrix R_ij = Tr(rho a+_i a_j)."""
-    lower = enumerate_basis(basis.d, basis.n - 1, basis.statistics)
-    create = [creation_matrix(i, lower, basis) for i in range(basis.d)]
-    R = np.empty((basis.d, basis.d), dtype=complex)
-    for i in range(basis.d):
-        for j in range(basis.d):
-            R[i, j] = np.trace(rho @ create[i] @ create[j].T)
+    R = np.einsum("ijab,ba->ij", _hopping(basis.d, basis.n, basis.statistics), rho)
     return (R + R.conj().T) / 2
 
 
@@ -107,7 +103,6 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tol: float = 1e-8
     seed: int = 0
-    method: str = "powell"
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1 or self.tol <= 0:
@@ -121,11 +116,6 @@ class QuantumnessReport:
     restart_values: tuple[float, ...]
     oracle_value: float | None
     converged: bool
-
-
-def _exp_i_hermitian(H: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(H)
-    return (U * np.exp(1j * w)) @ U.conj().T
 
 
 def _minimize_over_group(objective, d: int, warm_unitaries, cfg: OptimizerConfig):
@@ -155,8 +145,7 @@ def _minimize_over_group(objective, d: int, warm_unitaries, cfg: OptimizerConfig
             best_theta = np.asarray(res.x)
         if best_val <= cfg.tol:
             break
-    V = _exp_i_hermitian(hermitian_from_parameters(best_theta, d))
-    return best_val, V, tuple(values)
+    return best_val, unitary_from_parameters(best_theta, d), tuple(values)
 
 
 def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
@@ -182,11 +171,8 @@ def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = Optimi
     d = basis.d
 
     def objective(theta):
-        V = _exp_i_hermitian(hermitian_from_parameters(theta, d))
-        G = lift_unitary(V, basis)
-        p = np.einsum("ij,jk,ik->i", G, rho, G.conj()).real
-        np.clip(p, 0.0, None, out=p)
-        return shannon_entropy(p) - s_rho
+        G = lift_generator(hermitian_from_parameters(theta, d), basis)
+        return _outcome_entropy(G, rho) - s_rho
 
     # R transforms as R -> conj(V) R V^T under rho -> Gamma(V) rho Gamma(V)+,
     # so W^T (not W+) is the rotation that lands on the natural-orbital basis
@@ -219,13 +205,8 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
-        V = haar_random_unitary(basis.d, rng)
-        G = lift_unitary(V, basis)
-        p = np.einsum("ij,jk,ik->i", G, rho, G.conj()).real
-        np.clip(p, 0.0, None, out=p)
-        h = shannon_entropy(p)
-        if h < best:
-            best = h
+        G = lift_unitary(haar_random_unitary(basis.d, rng), basis)
+        best = min(best, _outcome_entropy(G, rho))
     return float(best - s_rho)
 
 
@@ -243,7 +224,7 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     d = basis.d
 
     def objective(theta):
-        V = _exp_i_hermitian(hermitian_from_parameters(theta, d))
+        V = unitary_from_parameters(theta, d)
         fam = build_family(V.conj().T, basis)
         sigma = dephase(rho, fam)
         return relative_entropy(rho, sigma)
@@ -292,7 +273,6 @@ def make_classical_state(spec: ClassicalStateSpec, basis: FockBasis) -> np.ndarr
 class Classification(Enum):
     CLASSICAL_ONLY_C = "C"
     NO_QUANTUMNESS_P = "P"
-    UNENTANGLED_U_ONLY = "U"
     CORRELATED_Q = "Q"
     UNDECIDED = "U-undecided"
 
@@ -305,10 +285,9 @@ class ClassificationReport:
     condensate_defect: float | None
 
 
-def _condensate_defect(rho: np.ndarray, basis: FockBasis, V: np.ndarray) -> float:
-    """Frobenius distance from Gamma(V)+ rho Gamma(V) to the nearest diagonal
-    state supported on all-particles-in-one-mode labels."""
-    G = lift_unitary(V, basis)
+def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> float:
+    """Frobenius distance from G+ rho G, G a lifted rotation, to the nearest
+    diagonal state supported on all-particles-in-one-mode labels."""
     X = G.conj().T @ rho @ G
     target = np.zeros_like(X)
     for i in range(basis.d):
@@ -332,7 +311,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConf
     # a condensate mixture over columns of V has R = conj(V) (n diag p) V^T,
     # so the candidate frame is the conjugate of the eigenvector matrix
     cand = W.conj()
-    defect = _condensate_defect(rho, basis, cand)
+    defect = _condensate_defect(rho, basis, lift_unitary(cand, basis))
     if defect <= tol:
         return True, defect
     gaps = np.diff(np.sort(evals))
@@ -341,8 +320,8 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConf
     d = basis.d
 
     def objective(theta):
-        V = _exp_i_hermitian(hermitian_from_parameters(theta, d))
-        return _condensate_defect(rho, basis, V)
+        G = lift_generator(hermitian_from_parameters(theta, d), basis)
+        return _condensate_defect(rho, basis, G)
 
     best, _, _ = _minimize_over_group(objective, d, [cand], cfg)
     return best <= tol, min(defect, best)

@@ -88,17 +88,6 @@ def multiplicities(occ, d: int) -> np.ndarray:
     return m
 
 
-def occupation_factorial(occ) -> float:
-    """Product of m_i! over modes — the bosonic normalization denominator."""
-    out = 1.0
-    run = 1
-    for a, b in zip(occ, occ[1:]):
-        run = run + 1 if a == b else 1
-        if run > 1:
-            out *= run
-    return out
-
-
 def creation_matrix(mode: int, from_basis: FockBasis, to_basis: FockBasis) -> np.ndarray:
     """Matrix of the creation operator for `mode`, mapping the n-particle
     sector onto the (n+1)-particle sector.

@@ -6,95 +6,61 @@ submatrices of V built by repeating rows/columns according to occupation
 multiplicities.  Rows are indexed by the output occupation vector, columns by
 the input one, which is the orientation that makes Gamma a group homomorphism
 with Gamma(V) = V on the one-particle sector.
+
+Those minors are not evaluated one by one.  Second quantization gives
+Gamma(exp(iH)) = exp(i dGamma(H)) with dGamma(H) = sum_ij H_ij a+_i a_j, so
+the lift is one D x D Hermitian exponential of a contraction of H with the
+sector's hopping tensor E[i, j] = a+_i a_j.  An arbitrary V enters through a
+Hermitian logarithm H = -i log V; every such logarithm gives the same lift.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import DimensionMismatch
-from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis, occupation_factorial
+from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis
 
 
-def permanent(M: np.ndarray) -> complex:
-    """Permanent via Ryser's formula with Gray-code subset updates.
+@lru_cache(maxsize=None)
+def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
+    """Hopping tensor E[i, j] = a+_i a_j on the (d, n) sector, shape (d, d, D, D).
 
-    O(2^n n) — fine at desk scale (n <= 5 everywhere in this package).
+    Built once per sector and shared by every caller, hence read-only.
     """
-    M = np.asarray(M)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise DimensionMismatch(f"permanent needs a square matrix, got {M.shape}")
+    basis = enumerate_basis(d, n, statistics)
     if n == 0:
-        return 1.0 + 0.0j
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    prev_gray = 0
-    sign = 1.0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ prev_gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            row_sums += M[:, j]
-        else:
-            row_sums -= M[:, j]
-        # popcount parity of the Gray code of k equals the parity of k
-        sign = -sign
-        total += sign * np.prod(row_sums)
-        prev_gray = gray
-    return complex(total if n % 2 == 0 else -total)
-
-
-def _lift_two_particle(V: np.ndarray, basis: FockBasis) -> np.ndarray:
-    # vectorized n=2 fast path: 2x2 dets/permanents in closed form
-    occ = np.array(basis.states)
-    r0, r1 = occ[:, 0], occ[:, 1]
-    a = V[np.ix_(r0, r0)] * V[np.ix_(r1, r1)]
-    b = V[np.ix_(r0, r1)] * V[np.ix_(r1, r0)]
-    if basis.statistics is Statistics.FERMIONIC:
-        return a - b
-    w = np.array([occupation_factorial(o) for o in basis.states])
-    return (a + b) / np.sqrt(np.outer(w, w))
-
-
-def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Gamma(V): the n-particle image of the d x d unitary V.
-
-    <l|Gamma(V)|k> = det V[l, k] for fermions, per V[l, k] normalized by
-    sqrt(prod m_i(l)! prod m_j(k)!) for bosons, submatrices with rows/columns
-    repeated by multiplicity.
-    """
-    V = np.asarray(V, dtype=complex)
-    if V.shape != (basis.d, basis.d):
-        raise DimensionMismatch(
-            f"V has shape {V.shape}, basis has d={basis.d}"
-        )
-    if basis.n == 1:
-        return V.copy()
-    if basis.n == 2:
-        return _lift_two_particle(V, basis)
-    D = basis.size
-    G = np.empty((D, D), dtype=complex)
-    fermionic = basis.statistics is Statistics.FERMIONIC
-    if fermionic:
-        for i, row_occ in enumerate(basis.states):
-            sub = V[list(row_occ), :]
-            for j, col_occ in enumerate(basis.states):
-                G[i, j] = np.linalg.det(sub[:, list(col_occ)])
+        E = np.zeros((d, d, 1, 1), dtype=complex)
     else:
-        norms = np.array([math.sqrt(occupation_factorial(o)) for o in basis.states])
-        for i, row_occ in enumerate(basis.states):
-            sub = V[list(row_occ), :]
-            for j, col_occ in enumerate(basis.states):
-                G[i, j] = permanent(sub[:, list(col_occ)]) / (norms[i] * norms[j])
-    return G
+        lower = enumerate_basis(d, n - 1, statistics)
+        create = np.array([creation_matrix(i, lower, basis) for i in range(d)])
+        # complex, so the contraction with a complex generator needs no cast
+        E = np.einsum("iak,jbk->ijab", create, create).astype(complex)
+    E.flags.writeable = False
+    return E
+
+
+def _exp_i_hermitian(H: np.ndarray) -> np.ndarray:
+    w, U = np.linalg.eigh(H)
+    return (U * np.exp(1j * w)) @ U.conj().T
+
+
+def _log_unitary(V: np.ndarray) -> np.ndarray:
+    """A Hermitian H with exp(iH) = V, from the complex Schur form of V.
+
+    V is normal, so its Schur form is diagonal up to rounding; the phases
+    are taken on the principal branch (-pi, pi].
+    """
+    T, Z = schur(V, output="complex")
+    H = (Z * np.angle(np.diag(T))) @ Z.conj().T
+    return (H + H.conj().T) / 2
 
 
 def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Second-quantized one-body operator sum_ij M_ij a+_i a_j on the n-sector.
+    """Second-quantized one-body operator dGamma(M) = sum_ij M_ij a+_i a_j on
+    the n-sector.
 
     Hermitian for Hermitian M; its eigenvalues are sums of n eigenvalues of M
     (with repetition rules set by the statistics).
@@ -102,29 +68,33 @@ def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.shape != (basis.d, basis.d):
         raise DimensionMismatch(f"M has shape {M.shape}, basis has d={basis.d}")
-    lower = enumerate_basis(basis.d, basis.n - 1, basis.statistics)
-    create = [creation_matrix(i, lower, basis) for i in range(basis.d)]
-    O = np.zeros((basis.size, basis.size), dtype=complex)
-    for i in range(basis.d):
-        for j in range(basis.d):
-            if M[i, j] != 0:
-                O += M[i, j] * (create[i] @ create[j].T)
-    return O
+    return np.tensordot(M, _hopping(basis.d, basis.n, basis.statistics), axes=2)
 
 
-@dataclass(frozen=True)
-class HermitianGenerator:
-    """Real chart for the unitary group: d diagonal entries followed by
-    (re, im) pairs for the strictly upper-triangular part, row-major."""
+def lift_generator(H: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Gamma(exp(iH)) = exp(i dGamma(H)) for a Hermitian d x d generator H."""
+    return _exp_i_hermitian(lift_observable(H, basis))
 
-    d: int
-    params: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        return hermitian_from_parameters(self.params, self.d)
+def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Gamma(V): the n-particle image of the d x d unitary V.
+
+    <l|Gamma(V)|k> = det V[l, k] for fermions, per V[l, k] normalized by
+    sqrt(prod m_i(l)! prod m_j(k)!) for bosons, submatrices with rows/columns
+    repeated by multiplicity; evaluated as exp(i dGamma(-i log V)).  V must
+    be unitary: the logarithm keeps only the phases of its eigenvalues.
+    """
+    V = np.asarray(V, dtype=complex)
+    if V.shape != (basis.d, basis.d):
+        raise DimensionMismatch(
+            f"V has shape {V.shape}, basis has d={basis.d}"
+        )
+    return lift_generator(_log_unitary(V), basis)
 
 
 def hermitian_from_parameters(params: np.ndarray, d: int) -> np.ndarray:
+    """Real chart for the unitary group: d diagonal entries followed by
+    (re, im) pairs for the strictly upper-triangular part, row-major."""
     params = np.asarray(params, dtype=float)
     if params.shape != (d * d,):
         raise DimensionMismatch(f"need {d * d} parameters for d={d}, got {params.shape}")
@@ -154,16 +124,9 @@ def parameters_from_hermitian(H: np.ndarray) -> np.ndarray:
     return params
 
 
-def unitary_from_parameters(g: HermitianGenerator | np.ndarray, d: int | None = None) -> np.ndarray:
+def unitary_from_parameters(params: np.ndarray, d: int) -> np.ndarray:
     """V = exp(i H) for the Hermitian matrix encoded by the parameter vector."""
-    if isinstance(g, HermitianGenerator):
-        H = g.matrix()
-    else:
-        if d is None:
-            raise DimensionMismatch("raw parameter vectors need an explicit d")
-        H = hermitian_from_parameters(g, d)
-    w, U = np.linalg.eigh(H)
-    return (U * np.exp(1j * w)) @ U.conj().T
+    return _exp_i_hermitian(hermitian_from_parameters(params, d))
 
 
 def parameters_from_unitary(V: np.ndarray) -> np.ndarray:
@@ -171,12 +134,9 @@ def parameters_from_unitary(V: np.ndarray) -> np.ndarray:
 
     Exact inverse when V's eigenvalue phases avoid the branch cut; always a
     valid starting point for local search (unitary_from_parameters of the
-    result reproduces V up to the usual eig degeneracies).
+    result reproduces V).
     """
-    w, U = np.linalg.eig(np.asarray(V, dtype=complex))
-    H = (U * np.angle(w)) @ np.linalg.inv(U)
-    H = (H + H.conj().T) / 2
-    return parameters_from_hermitian(H)
+    return parameters_from_hermitian(_log_unitary(np.asarray(V, dtype=complex)))
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Shared test utilities, including an independent tensor-power construction
-of the lifted unitary used as the oracle for the determinant/permanent route."""
+of the lifted unitary used as the oracle for the lift."""
 import itertools
 import math
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from scipy.linalg import expm
 
 from qcorr import (
     DimensionMismatch,
-    HermitianGenerator,
     Statistics,
     enumerate_basis,
     haar_random_unitary,
@@ -17,7 +15,6 @@ from qcorr import (
     lift_unitary,
     parameters_from_hermitian,
     parameters_from_unitary,
-    permanent,
     slater_state,
     unitary_from_parameters,
 )
@@ -26,23 +23,25 @@ from helpers import plus_minus_rotation, reference_lift
 
 SECTORS = [(2, 2, Statistics.BOSONIC), (3, 2, Statistics.BOSONIC),
            (3, 2, Statistics.FERMIONIC), (4, 2, Statistics.FERMIONIC),
-           (3, 3, Statistics.BOSONIC), (4, 3, Statistics.FERMIONIC)]
+           (3, 3, Statistics.BOSONIC), (4, 3, Statistics.FERMIONIC),
+           (2, 4, Statistics.BOSONIC), (6, 3, Statistics.FERMIONIC),
+           (4, 4, Statistics.BOSONIC)]
 
 
-def test_permanent_small_cases():
-    assert permanent(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(10.0)
-    assert permanent(np.ones((3, 3))) == pytest.approx(6.0)
-    assert permanent(np.eye(4)) == pytest.approx(1.0)
+def _with_phases(phases, rng) -> np.ndarray:
+    W = haar_random_unitary(len(phases), rng)
+    return (W * np.exp(1j * np.asarray(phases))) @ W.conj().T
 
 
-def test_permanent_against_permutation_sum():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    brute = sum(
-        np.prod([A[i, p[i]] for i in range(4)])
-        for p in itertools.permutations(range(4))
-    )
-    assert permanent(A) == pytest.approx(brute, abs=1e-10)
+# V kinds that stress the logarithm the lift goes through: a generic
+# spectrum, an exactly repeated eigenvalue, an eigenvalue on the branch cut
+# at -1, and the scalar -I, whose lift is (-1)^n
+V_KINDS = {
+    "haar": lambda d, rng: haar_random_unitary(d, rng),
+    "degenerate": lambda d, rng: _with_phases([0.7] * (d - 1) + [-2.1], rng),
+    "branch_cut": lambda d, rng: _with_phases([math.pi] + list(rng.uniform(-3, 3, d - 1)), rng),
+    "minus_identity": lambda d, rng: -np.eye(d, dtype=complex),
+}
 
 
 def test_lift_identity():
@@ -51,11 +50,15 @@ def test_lift_identity():
         assert_allclose(lift_unitary(np.eye(d), basis), np.eye(basis.size), atol=1e-12)
 
 
-@pytest.mark.parametrize("d,n,stats", SECTORS)
-def test_lift_matches_tensor_power_construction(d, n, stats):
+@pytest.mark.parametrize("d,n,stats,kind", [
+    # a Haar draw is the generic case, so its id is the bare sector
+    pytest.param(d, n, stats, kind, id=f"{d}-{n}-{stats}" + ("" if kind == "haar" else f"-{kind}"))
+    for d, n, stats in SECTORS for kind in V_KINDS
+])
+def test_lift_matches_tensor_power_construction(d, n, stats, kind):
     rng = np.random.default_rng(100 + d + 10 * n)
     basis = enumerate_basis(d, n, stats)
-    V = haar_random_unitary(d, rng)
+    V = V_KINDS[kind](d, rng)
     G = lift_unitary(V, basis)
     assert_allclose(G, reference_lift(V, basis), atol=1e-12)
     assert_allclose(G @ G.conj().T, np.eye(basis.size), atol=1e-10)
@@ -75,6 +78,12 @@ def test_lift_one_particle_sector_is_identity_map():
     basis = enumerate_basis(3, 1, Statistics.FERMIONIC)
     V = haar_random_unitary(3, np.random.default_rng(3))
     assert_allclose(lift_unitary(V, basis), V, atol=1e-15)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_lift_vacuum_sector_is_trivial(stats):
+    V = haar_random_unitary(3, np.random.default_rng(4))
+    assert_allclose(lift_unitary(V, enumerate_basis(3, 0, stats)), [[1.0]], atol=1e-15)
 
 
 def test_lift_worked_example_rotation():
@@ -105,10 +114,10 @@ def test_unitary_from_parameters_pauli_x_rotation():
 
 
 def test_unitary_from_parameters_generator_object():
-    g = HermitianGenerator(d=2, params=np.array([0.3, -0.2, 0.1, 0.4]))
-    V = unitary_from_parameters(g)
+    params = np.array([0.3, -0.2, 0.1, 0.4])
+    V = unitary_from_parameters(params, 2)
     assert_allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
-    assert_allclose(V, expm(1j * g.matrix()), atol=1e-12)
+    assert_allclose(V, expm(1j * hermitian_from_parameters(params, 2)), atol=1e-12)
 
 
 def test_parameter_chart_round_trip():

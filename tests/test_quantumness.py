@@ -1,4 +1,6 @@
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +37,14 @@ from qcorr import (
 from helpers import plus_minus_rotation, random_density, random_pure
 
 LN2 = math.log(2)
+
+
+def test_correlations_module_is_importable_by_name():
+    # the package re-exports the function `quantumness`, so the module that
+    # defines it must not share its name
+    mod = importlib.import_module("qcorr.correlations")
+    assert isinstance(mod, types.ModuleType)
+    assert mod.quantumness is quantumness
 
 
 def boson22():
