@@ -134,6 +134,14 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None,
                          trace_tol: float = 1e-12) -> None:
     """Raise InvalidState unless rho is Hermitian, PSD and unit-trace
     within the stated tolerances."""
+    rho = _check_hermitian_unit_trace(rho, dim, herm_tol, trace_tol)
+    _psd_eigenvalues(rho, eig_tol)
+
+
+def _check_hermitian_unit_trace(rho: np.ndarray, dim: int | None = None,
+                                herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
+    """The O(size) part of `check_density_matrix`: shape, Hermiticity and
+    trace.  Returns rho as an array."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
@@ -145,6 +153,13 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None,
     tr = np.trace(rho)
     if abs(tr - 1.0) > trace_tol:
         raise InvalidState(f"trace {tr} differs from 1 beyond {trace_tol:.0e}")
+    return rho
+
+
+def _psd_eigenvalues(rho: np.ndarray, eig_tol: float = 1e-10) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of rho; raise InvalidState when one
+    lies below -eig_tol."""
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if evals.min() < -eig_tol:
         raise InvalidState(f"negative eigenvalue {evals.min():.3e} beyond -{eig_tol:.0e}")
+    return evals

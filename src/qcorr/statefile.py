@@ -42,32 +42,42 @@ class ParsedState:
         return np.outer(self.vector, self.vector.conj())
 
 
-def _parse_occupation(token: str, basis: FockBasis, lineno: int, column: int):
+def _parse_occupation(token: str, basis: FockBasis, lineno: int, code: str, k: int):
     parts = token.split(",")
     try:
         occ = tuple(int(p) for p in parts)
     except ValueError:
-        raise StateFileError(f"occupation {token!r} is not a comma-separated "
-                             "list of integers", lineno, column) from None
+        raise _error_at(f"occupation {token!r} is not a comma-separated "
+                        "list of integers", lineno, code, k) from None
     if len(occ) != basis.n:
-        raise StateFileError(f"occupation {token!r} has {len(occ)} modes, "
-                             f"expected n={basis.n}", lineno, column)
+        raise _error_at(f"occupation {token!r} has {len(occ)} modes, "
+                        f"expected n={basis.n}", lineno, code, k)
     if any(not 0 <= m < basis.d for m in occ):
-        raise StateFileError(f"occupation {token!r} has a mode outside "
-                             f"[0, {basis.d})", lineno, column)
+        raise _error_at(f"occupation {token!r} has a mode outside "
+                        f"[0, {basis.d})", lineno, code, k)
     if occ not in basis:
         kind = ("strictly increasing" if basis.statistics is Statistics.FERMIONIC
                 else "non-decreasing")
-        raise StateFileError(f"occupation {token!r} is not in canonical "
-                             f"{kind} order", lineno, column)
+        raise _error_at(f"occupation {token!r} is not in canonical "
+                        f"{kind} order", lineno, code, k)
     return occ
 
 
-def _parse_float(token: str, lineno: int, column: int) -> float:
+def _occupation_index(token: str, labels: dict, basis: FockBasis,
+                      lineno: int, code: str, k: int) -> int:
+    """Basis index of an occupation token: canonical labels ("0,1,1") come
+    from `labels`; any other spelling goes through `_parse_occupation`."""
+    index = labels.get(token)
+    if index is None:
+        index = basis.index_of(_parse_occupation(token, basis, lineno, code, k))
+    return index
+
+
+def _parse_float(token: str, lineno: int, code: str, k: int) -> float:
     try:
         return float(token)
     except ValueError:
-        raise StateFileError(f"bad float {token!r}", lineno, column) from None
+        raise _error_at(f"bad float {token!r}", lineno, code, k) from None
 
 
 def _token_columns(raw: str):
@@ -80,6 +90,12 @@ def _token_columns(raw: str):
     return cols
 
 
+def _error_at(message: str, lineno: int, code: str, k: int) -> StateFileError:
+    """Error positioned at the k-th token of the line's code (the part before
+    any `#`); the column is worked out only here, on the error path."""
+    return StateFileError(message, lineno, _token_columns(code)[k])
+
+
 def parse_state_file(path) -> ParsedState:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_state_text(fh.read())
@@ -89,27 +105,27 @@ def parse_state_text(text: str) -> ParsedState:
     header: dict[str, str] = {}
     header_lines: dict[str, int] = {}
     basis = None
+    labels = None
     representation = None
-    entries = {}
+    entries = {}  # basis index (pure) or (row, col) index pair (mixed) -> value
     body_started = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        tokens = code.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        columns = _token_columns(raw.split("#", 1)[0])
 
         if tokens[0] in _HEADER_KEYS:
-            if body_started:
-                raise StateFileError(f"header key {tokens[0]!r} after body began", lineno, columns[0])
             key = tokens[0]
+            if body_started:
+                raise _error_at(f"header key {key!r} after body began", lineno, code, 0)
             if key in header:
-                raise StateFileError(f"duplicate header key {key!r}", lineno, columns[0])
+                raise _error_at(f"duplicate header key {key!r}", lineno, code, 0)
             if len(tokens) < 2:
-                raise StateFileError(f"header key {key!r} needs a value", lineno, columns[0])
+                raise _error_at(f"header key {key!r} needs a value", lineno, code, 0)
             # labels keep their internal spacing so they round-trip verbatim
-            header[key] = line[len(key):].strip() if key == "label" else tokens[1]
+            header[key] = code.strip()[len(key):].strip() if key == "label" else tokens[1]
             header_lines[key] = lineno
             continue
 
@@ -117,8 +133,8 @@ def parse_state_text(text: str) -> ParsedState:
         if not body_started:
             missing = [k for k in ("d", "n", "statistics", "representation") if k not in header]
             if missing:
-                raise StateFileError(
-                    f"body begins before header keys {missing} are set", lineno, columns[0])
+                raise _error_at(f"body begins before header keys {missing} are set",
+                                lineno, code, 0)
             try:
                 d = int(header["d"])
                 n = int(header["n"])
@@ -139,27 +155,26 @@ def parse_state_text(text: str) -> ParsedState:
                 basis = enumerate_basis(d, n, Statistics(stats))
             except InvalidDimension as e:
                 raise StateFileError(str(e), header_lines["d"]) from None
+            labels = {",".join(map(str, occ)): i for i, occ in enumerate(basis.states)}
             body_started = True
 
         want = 3 if representation == "pure" else 4
         if len(tokens) != want:
-            raise StateFileError(
+            raise _error_at(
                 f"{representation} row needs {want} fields "
                 f"({'occ re im' if want == 3 else 'row-occ col-occ re im'}), got {len(tokens)}",
-                lineno, columns[0])
+                lineno, code, 0)
         if representation == "pure":
-            occ = _parse_occupation(tokens[0], basis, lineno, columns[0])
-            re = _parse_float(tokens[1], lineno, columns[1])
-            im = _parse_float(tokens[2], lineno, columns[2])
-            key = occ
+            key = _occupation_index(tokens[0], labels, basis, lineno, code, 0)
         else:
-            row = _parse_occupation(tokens[0], basis, lineno, columns[0])
-            col = _parse_occupation(tokens[1], basis, lineno, columns[1])
-            re = _parse_float(tokens[2], lineno, columns[2])
-            im = _parse_float(tokens[3], lineno, columns[3])
-            key = (row, col)
+            key = (_occupation_index(tokens[0], labels, basis, lineno, code, 0),
+                   _occupation_index(tokens[1], labels, basis, lineno, code, 1))
+        re = _parse_float(tokens[want - 2], lineno, code, want - 2)
+        im = _parse_float(tokens[want - 1], lineno, code, want - 1)
         if key in entries:
-            raise StateFileError(f"duplicate entry for {key}", lineno, columns[0])
+            shown = (basis.states[key] if representation == "pure"
+                     else tuple(basis.states[i] for i in key))
+            raise _error_at(f"duplicate entry for {shown}", lineno, code, 0)
         entries[key] = complex(re, im)
 
     if not body_started:
@@ -169,8 +184,8 @@ def parse_state_text(text: str) -> ParsedState:
     label = header.get("label")
     if representation == "pure":
         v = np.zeros(basis.size, dtype=complex)
-        for occ, amp in entries.items():
-            v[basis.index_of(occ)] = amp
+        for i, amp in entries.items():
+            v[i] = amp
         norm = float(np.linalg.norm(v))
         if norm < 1e-12:
             raise StateFileError("pure state has (near-)zero norm")
@@ -181,8 +196,8 @@ def parse_state_text(text: str) -> ParsedState:
         return ParsedState(basis, "pure", label, v, None, normalized)
 
     rho = np.zeros((basis.size, basis.size), dtype=complex)
-    for (row, col), val in entries.items():
-        rho[basis.index_of(row), basis.index_of(col)] = val
+    for (i, j), val in entries.items():
+        rho[i, j] = val
     check_density_matrix(rho)  # raises InvalidState on violation
     return ParsedState(basis, "mixed", label, None, rho, False)
 

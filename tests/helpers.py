@@ -76,3 +76,18 @@ def plus_minus_rotation() -> np.ndarray:
     partner -> |1>; the optimal basis of the two-boson worked example."""
     s = 1 / math.sqrt(2)
     return np.array([[s, -1j * s], [s, 1j * s]])
+
+
+def two_fermion_quantumness(psi: np.ndarray, states, d: int) -> float:
+    """Closed form for the quantumness of a pure two-fermion state: the
+    Shannon entropy (nats) of its Slater weights, the normalized squares of
+    the paired singular values of the antisymmetric coefficient matrix
+    w[i, j] = -w[j, i] = psi[(i, j)] (Schliemann et al., PRA 64, 022303,
+    2001).  That Q equals this number is checked against the optimizer in
+    the tests, not proven in this package."""
+    w = np.zeros((d, d), dtype=complex)
+    for amp, (i, j) in zip(psi, states):
+        w[i, j], w[j, i] = amp, -amp
+    lam = np.linalg.svd(w, compute_uv=False)[::2] ** 2
+    lam = lam[lam > 1e-300] / lam.sum()
+    return float(-(lam * np.log(lam)).sum())

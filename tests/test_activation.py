@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qcorr.activation
 from qcorr import (
+    InvalidDimension,
     JointState,
     NotMaxCorrelated,
     Statistics,
@@ -15,6 +18,7 @@ from qcorr import (
     enumerate_basis,
     entanglement_maxcorr,
     haar_random_unitary,
+    lift_unitary,
     max_corr_coefficients,
     partial_trace,
     run_protocol,
@@ -186,3 +190,84 @@ def test_entanglement_of_maximally_correlated_pure_pair():
     joint[0] = joint[8] = 1 / math.sqrt(2)
     js = JointState(3, 3, np.outer(joint, joint.conj()))
     assert entanglement_maxcorr(js) == pytest.approx(math.log(2), abs=1e-12)
+
+
+# The protocol runs as an index relabelling and takes S(joint) from a D x D
+# block; these tests pin both to the dense construction they replace.
+PIN_SECTORS = [(1, 1, Statistics.BOSONIC), (2, 2, Statistics.BOSONIC),
+               (3, 2, Statistics.FERMIONIC), (6, 3, Statistics.FERMIONIC),
+               (4, 4, Statistics.BOSONIC)]
+
+
+def _pin_input(d, n, stats, kind):
+    rng = np.random.default_rng([d, n, kind == "pure"])
+    basis = enumerate_basis(d, n, stats)
+    if kind == "pure":
+        psi = random_pure(basis.size, rng)
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = random_density(basis.size, rng, rank=min(3, basis.size))
+    return basis, rho, haar_random_unitary(d, rng)
+
+
+def _dense_protocol(rho, V, basis):
+    """U [ G rho G+ (x) |0><0| ] U^T with U the explicit permutation matrix."""
+    D = basis.size
+    G = lift_unitary(V, basis)
+    apparatus0 = np.zeros((D, D), dtype=complex)
+    apparatus0[0, 0] = 1.0
+    U = coupling_unitary(D)
+    return U @ np.kron(G @ rho @ G.conj().T, apparatus0) @ U.T
+
+
+def _mask_worst(js):
+    """Largest off-pattern magnitude, gathered through a D^4 boolean mask."""
+    D = js.system_dim
+    M = js.matrix.reshape(D, D, D, D)
+    mask = np.ones((D, D, D, D), dtype=bool)
+    idx = np.arange(D)
+    mask[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] = False
+    return float(np.abs(M[mask]).max()) if mask.any() else 0.0
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("d,n,stats", PIN_SECTORS)
+def test_protocol_matches_dense_construction(d, n, stats, kind):
+    basis, rho, V = _pin_input(d, n, stats, kind)
+    js = run_protocol(rho, V, basis)
+    assert np.abs(js.matrix - _dense_protocol(rho, V, basis)).max() <= 1e-15
+    ok, worst = verify_maximally_correlated(js)
+    assert ok and worst == _mask_worst(js)
+    full_route = (von_neumann_entropy(partial_trace(js, Subsystem.SYSTEM))
+                  - von_neumann_entropy(js.matrix))
+    assert abs(entanglement_maxcorr(js) - full_route) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n,stats", PIN_SECTORS[1:4])
+def test_verify_matches_mask_on_perturbed_joint(d, n, stats):
+    basis, rho, V = _pin_input(d, n, stats, "mixed")
+    js = run_protocol(rho, V, basis)
+    rng = np.random.default_rng(d * 10 + n)
+    M = js.matrix.copy()
+    hits = rng.integers(M.shape[0], size=(2, 12))
+    M[hits[0], hits[1]] += 1e-9 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    perturbed = JointState(js.system_dim, js.apparatus_dim, M)
+    ok, worst = verify_maximally_correlated(perturbed)
+    assert worst == _mask_worst(perturbed) > 1e-10 and not ok
+    assert verify_maximally_correlated(perturbed, tol=1e-6) == (True, worst)
+
+
+def test_run_protocol_rejects_oversized_joint_before_lifting(monkeypatch):
+    basis = enumerate_basis(6, 4, Statistics.BOSONIC)
+    assert basis.size == 126  # joint would be 16 * 126**4 bytes, about 3.7 GiB
+
+    def no_lift(*_):
+        raise AssertionError("lifted before the size guard")
+
+    monkeypatch.setattr(qcorr.activation, "lift_unitary", no_lift)
+    start = time.perf_counter()
+    with pytest.raises(InvalidDimension, match="D=126"):
+        run_protocol(np.eye(126) / 126, np.eye(6), basis)
+    assert time.perf_counter() - start < 1.0
+    # the limit admits every sector up to D = 90
+    assert 16 * 90**4 <= qcorr.activation.MAX_JOINT_BYTES < 16 * 91**4

@@ -64,6 +64,14 @@ def test_basis_invalid_dimension_exit_code():
     assert "error:" in r.stderr
 
 
+def test_activate_oversized_sector_exit_code(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("d 6\nn 4\nstatistics bosonic\nrepresentation pure\n0,0,0,0 1.0 0.0\n")
+    r = run_cli("activate", str(p))
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "D=126" in r.stderr and "GiB limit" in r.stderr
+
+
 def test_quantumness_on_worked_example(psi_b_file):
     r = run_cli("quantumness", psi_b_file, "--restarts", "6", "--machine")
     assert r.returncode == 0, r.stderr

@@ -34,7 +34,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from helpers import plus_minus_rotation, random_density, random_pure
+from helpers import plus_minus_rotation, random_density, random_pure, two_fermion_quantumness
 
 LN2 = math.log(2)
 
@@ -407,3 +407,30 @@ def test_classical_states_chain_into_p():
     rep = classify_report(xi, basis, OptimizerConfig(restarts=4, seed=4))
     assert rep.label is Classification.CLASSICAL_ONLY_C
     assert quantumness(xi, basis, OptimizerConfig(restarts=3, seed=5)).q_value <= 1e-6
+
+
+@pytest.mark.parametrize("d,k", [(4, 0), (4, 1), (5, 0), (5, 1), (6, 0), (6, 1)])
+def test_pure_two_fermion_quantumness_matches_slater_weights(d, k):
+    """Measured agreement, not a proof: on these fixed-seed states the
+    optimizer reproduces the Shannon entropy of the Slater weights, and no
+    Haar-sampled rotation goes below it."""
+    basis = enumerate_basis(d, 2, Statistics.FERMIONIC)
+    rng = np.random.default_rng([d, k])
+    psi = random_pure(basis.size, rng)
+    rho = np.outer(psi, psi.conj())
+    closed = two_fermion_quantumness(psi, basis.states, d)
+    q = quantumness(rho, basis, OptimizerConfig(restarts=1, seed=k)).q_value
+    assert abs(q - closed) <= 1e-8
+    sampled = min(projected_entropy(rho, haar_random_unitary(d, rng), basis)
+                  for _ in range(200))
+    assert sampled >= closed - 1e-12
+
+
+def test_three_mode_two_fermion_sector_is_classical():
+    # particle-hole: (3,2,F) has D = 3 and its lift covers U(3), so every
+    # state is diagonal in some rotated Fock basis
+    basis = enumerate_basis(3, 2, Statistics.FERMIONIC)
+    rng = np.random.default_rng(32)
+    for k in range(8):
+        rho = random_density(basis.size, rng)
+        assert quantumness(rho, basis, OptimizerConfig(restarts=3, seed=k)).q_value <= 1e-8
