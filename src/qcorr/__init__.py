@@ -53,7 +53,6 @@ from .fock import (
     check_density_matrix,
     creation_matrix,
     enumerate_basis,
-    multiplicities,
     slater_state,
 )
 from .lift import (

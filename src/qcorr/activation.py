@@ -8,6 +8,7 @@ from enum import Enum
 
 import numpy as np
 
+from .correlations import shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatch, InvalidDimension, NotMaxCorrelated
 from .fock import FockBasis, _check_hermitian_unit_trace, _psd_eigenvalues
 from .lift import lift_unitary
@@ -136,8 +137,6 @@ def entanglement_maxcorr(js: JointState, tol: float = 1e-10) -> float:
     ok, worst = verify_maximally_correlated(js, tol)
     if not ok:
         raise NotMaxCorrelated(f"off-pattern magnitude {worst:.3e} exceeds {tol:.0e}")
-    from .correlations import shannon_entropy, von_neumann_entropy
-
     joint = _check_hermitian_unit_trace(js.matrix)
     idx = _pattern_index(js.system_dim)
     block = joint[idx[:, None], idx[None, :]]

@@ -303,18 +303,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (InvalidDimension, UnknownOccupation, InvalidSpec) as e:
+    except (StateFileError, InvalidDimension, UnknownOccupation, InvalidSpec, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (InvalidState, NotMaxCorrelated, DimensionMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

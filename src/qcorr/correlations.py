@@ -27,31 +27,34 @@ from .lift import (
 from .measurement import build_family, dephase
 
 _EIG_CUT = 1e-12
+# classify_report: Q at or below Q_TOL is class P; a condensate-mixture
+# defect at or below STRUCTURE_TOL is class C
+Q_TOL = 1e-6
+STRUCTURE_TOL = 1e-8
 
 
-def shannon_entropy(p: np.ndarray, cut: float = _EIG_CUT) -> float:
-    """Shannon entropy in nats; entries below `cut` contribute zero."""
+def shannon_entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats; entries below 1e-12 contribute zero."""
     p = np.asarray(p, dtype=float)
-    p = p[p > cut]
+    p = p[p > _EIG_CUT]
     return float(-(p * np.log(p)).sum()) if p.size else 0.0
 
 
-def von_neumann_entropy(rho: np.ndarray, check: bool = True) -> float:
-    """-Tr(rho ln rho); eigenvalues below 1e-12 contribute zero."""
-    rho = np.asarray(rho)
-    if check:
-        check_density_matrix(rho)
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    return shannon_entropy(w)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """-Tr(rho ln rho) of a density matrix (checked by check_density_matrix);
+    eigenvalues below 1e-12 contribute zero."""
+    return shannon_entropy(check_density_matrix(rho))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho || sigma) = Tr(rho ln rho) - Tr(rho ln sigma), +inf when the
-    support of rho leaks outside the support of sigma."""
+    support of rho leaks outside the support of sigma.  rho must be a
+    density matrix."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
+    s_rho = shannon_entropy(check_density_matrix(rho))
     mu, U = np.linalg.eigh((sigma + sigma.conj().T) / 2)
     weights = np.einsum("ij,jk,ik->i", U.conj().T, rho, U.T).real
     on_kernel = weights[mu <= _EIG_CUT].sum()
@@ -59,7 +62,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         return math.inf
     keep = mu > _EIG_CUT
     cross = -(weights[keep] * np.log(mu[keep])).sum()
-    value = cross - von_neumann_entropy(rho, check=False)
+    value = cross - s_rho
     if -1e-12 < value < 0.0:
         value = 0.0
     return float(value)
@@ -166,8 +169,7 @@ def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = Optimi
     within 1e-4.
     """
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho, dim=basis.size)
-    s_rho = von_neumann_entropy(rho, check=False)
+    s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
     d = basis.d
 
     def objective(theta):
@@ -200,8 +202,7 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     if samples < 1:
         raise InvalidSpec(f"need at least one sample, got {samples}")
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho, dim=basis.size)
-    s_rho = von_neumann_entropy(rho, check=False)
+    s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
@@ -298,8 +299,8 @@ def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> floa
     return float(np.linalg.norm(X - target))
 
 
-def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig,
-                           tol: float) -> tuple[bool, float]:
+def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
+                           cfg: OptimizerConfig) -> tuple[bool, float]:
     """Detect rho = Gamma(V) (sum_i p_i |i,i,...,i><...|) Gamma(V)+.
 
     The natural-orbital basis is the candidate V; when the one-particle
@@ -312,7 +313,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConf
     # so the candidate frame is the conjugate of the eigenvector matrix
     cand = W.conj()
     defect = _condensate_defect(rho, basis, lift_unitary(cand, basis))
-    if defect <= tol:
+    if defect <= STRUCTURE_TOL:
         return True, defect
     gaps = np.diff(np.sort(evals))
     if gaps.size and gaps.min() > 1e-8:
@@ -324,7 +325,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConf
         return _condensate_defect(rho, basis, G)
 
     best, _, _ = _minimize_over_group(objective, d, [cand], cfg)
-    return best <= tol, min(defect, best)
+    return best <= STRUCTURE_TOL, min(defect, best)
 
 
 def slater_rank_two_particle(psi: np.ndarray, basis: FockBasis) -> int:
@@ -372,13 +373,12 @@ def slater_rank_two_particle(psi: np.ndarray, basis: FockBasis) -> int:
 
 
 def classify_report(rho: np.ndarray, basis: FockBasis,
-                    cfg: OptimizerConfig = OptimizerConfig(),
-                    q_tol: float = 1e-6,
-                    structure_tol: float = 1e-8) -> ClassificationReport:
+                    cfg: OptimizerConfig = OptimizerConfig()) -> ClassificationReport:
     """Place a state in the correlation hierarchy.
 
-    C: mixture of single-mode condensates in one rotated basis (bosons only;
-    the fermionic analogue does not exist).  P: quantumness below `q_tol`.
+    C: mixture of single-mode condensates in one rotated basis, within
+    STRUCTURE_TOL (bosons only; the fermionic analogue does not exist).
+    P: quantumness at most Q_TOL.
     Beyond P, pure states are correlated (their two-particle structure, when
     available, is reported via the slater rank); mixed states are reported as
     undecided because separability is not tested here.
@@ -388,7 +388,7 @@ def classify_report(rho: np.ndarray, basis: FockBasis,
 
     defect = None
     if basis.statistics is Statistics.BOSONIC:
-        is_c, defect = _is_condensate_mixture(rho, basis, cfg, structure_tol)
+        is_c, defect = _is_condensate_mixture(rho, basis, cfg)
         if is_c:
             return ClassificationReport(Classification.CLASSICAL_ONLY_C, 0.0, None, defect)
 
@@ -399,7 +399,7 @@ def classify_report(rho: np.ndarray, basis: FockBasis,
         psi = np.linalg.eigh(rho)[1][:, -1]
         rank = slater_rank_two_particle(psi, basis)
 
-    if report.q_value <= q_tol:
+    if report.q_value <= Q_TOL:
         return ClassificationReport(Classification.NO_QUANTUMNESS_P, report.q_value, rank, defect)
     if purity > 1.0 - 1e-10:
         return ClassificationReport(Classification.CORRELATED_Q, report.q_value, rank, defect)

@@ -20,6 +20,11 @@ from .errors import (
     UnknownOccupation,
 )
 
+# What counts as a density matrix (see check_density_matrix)
+HERM_TOL = 1e-12
+EIG_TOL = 1e-10
+TRACE_TOL = 1e-12
+
 
 class Statistics(Enum):
     FERMIONIC = "fermionic"
@@ -80,14 +85,6 @@ def enumerate_basis(d: int, n: int, statistics: Statistics) -> FockBasis:
     return FockBasis(d, n, statistics, states, index)
 
 
-def multiplicities(occ, d: int) -> np.ndarray:
-    """Occupation numbers m_i for each mode i."""
-    m = np.zeros(d, dtype=int)
-    for mode in occ:
-        m[mode] += 1
-    return m
-
-
 def creation_matrix(mode: int, from_basis: FockBasis, to_basis: FockBasis) -> np.ndarray:
     """Matrix of the creation operator for `mode`, mapping the n-particle
     sector onto the (n+1)-particle sector.
@@ -129,17 +126,17 @@ def slater_state(occ, basis: FockBasis) -> np.ndarray:
     return v
 
 
-def check_density_matrix(rho: np.ndarray, dim: int | None = None,
-                         herm_tol: float = 1e-12, eig_tol: float = 1e-10,
-                         trace_tol: float = 1e-12) -> None:
-    """Raise InvalidState unless rho is Hermitian, PSD and unit-trace
-    within the stated tolerances."""
-    rho = _check_hermitian_unit_trace(rho, dim, herm_tol, trace_tol)
-    _psd_eigenvalues(rho, eig_tol)
+def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Raise InvalidState unless rho is a density matrix: Hermitian within
+    HERM_TOL, unit-trace within TRACE_TOL, no eigenvalue below -EIG_TOL.
+
+    Returns the ascending eigenvalues of (rho + rho+)/2, the spectrum the
+    positivity test needs and S(rho) reuses.
+    """
+    return _psd_eigenvalues(_check_hermitian_unit_trace(rho, dim))
 
 
-def _check_hermitian_unit_trace(rho: np.ndarray, dim: int | None = None,
-                                herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> np.ndarray:
+def _check_hermitian_unit_trace(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """The O(size) part of `check_density_matrix`: shape, Hermiticity and
     trace.  Returns rho as an array."""
     rho = np.asarray(rho)
@@ -148,18 +145,18 @@ def _check_hermitian_unit_trace(rho: np.ndarray, dim: int | None = None,
     if dim is not None and rho.shape[0] != dim:
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[0]}")
     herm_defect = np.abs(rho - rho.conj().T).max()
-    if herm_defect > herm_tol:
-        raise InvalidState(f"not Hermitian: defect {herm_defect:.3e} > {herm_tol:.0e}")
+    if herm_defect > HERM_TOL:
+        raise InvalidState(f"not Hermitian: defect {herm_defect:.3e} > {HERM_TOL:.0e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidState(f"trace {tr} differs from 1 beyond {trace_tol:.0e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvalidState(f"trace {tr} differs from 1 beyond {TRACE_TOL:.0e}")
     return rho
 
 
-def _psd_eigenvalues(rho: np.ndarray, eig_tol: float = 1e-10) -> np.ndarray:
+def _psd_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part of rho; raise InvalidState when one
-    lies below -eig_tol."""
+    lies below -EIG_TOL."""
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < -eig_tol:
-        raise InvalidState(f"negative eigenvalue {evals.min():.3e} beyond -{eig_tol:.0e}")
+    if evals.min() < -EIG_TOL:
+        raise InvalidState(f"negative eigenvalue {evals.min():.3e} beyond -{EIG_TOL:.0e}")
     return evals

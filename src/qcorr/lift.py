@@ -1,17 +1,15 @@
 """Lift single-particle unitaries and observables to the n-particle sector.
 
-The lifted unitary Gamma(V) acts on the (anti)symmetric subspace; its matrix
-elements are determinants (fermions) or normalized permanents (bosons) of
-submatrices of V built by repeating rows/columns according to occupation
-multiplicities.  Rows are indexed by the output occupation vector, columns by
-the input one, which is the orientation that makes Gamma a group homomorphism
-with Gamma(V) = V on the one-particle sector.
-
-Those minors are not evaluated one by one.  Second quantization gives
+The lift goes through the Lie algebra.  Second quantization gives
 Gamma(exp(iH)) = exp(i dGamma(H)) with dGamma(H) = sum_ij H_ij a+_i a_j, so
-the lift is one D x D Hermitian exponential of a contraction of H with the
-sector's hopping tensor E[i, j] = a+_i a_j.  An arbitrary V enters through a
-Hermitian logarithm H = -i log V; every such logarithm gives the same lift.
+the lifted unitary on the (anti)symmetric subspace is one D x D Hermitian
+exponential of a contraction of H with the sector's hopping tensor
+E[i, j] = a+_i a_j.  An arbitrary V enters through a Hermitian logarithm
+H = -i log V; every such logarithm gives the same lift.  Rows are indexed by
+the output occupation vector, columns by the input one, which makes Gamma a
+group homomorphism with Gamma(V) = V on the one-particle sector.  The entries
+equal the determinants (fermions) or normalized permanents (bosons) of
+submatrices of V, but no such minor is evaluated here.
 """
 from __future__ import annotations
 
@@ -92,35 +90,42 @@ def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     return lift_generator(_log_unitary(V), basis)
 
 
+@lru_cache(maxsize=None)
+def _chart_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into a d x d matrix of the chart's entries, in parameter
+    order: the diagonal, the strict upper triangle row-major, and the mirror
+    of that triangle."""
+    rows, cols = np.triu_indices(d, k=1)
+    layout = (np.arange(d) * (d + 1), rows * d + cols, cols * d + rows)
+    for idx in layout:
+        idx.flags.writeable = False
+    return layout
+
+
 def hermitian_from_parameters(params: np.ndarray, d: int) -> np.ndarray:
     """Real chart for the unitary group: d diagonal entries followed by
     (re, im) pairs for the strictly upper-triangular part, row-major."""
     params = np.asarray(params, dtype=float)
     if params.shape != (d * d,):
         raise DimensionMismatch(f"need {d * d} parameters for d={d}, got {params.shape}")
-    H = np.zeros((d, d), dtype=complex)
-    H[np.diag_indices(d)] = params[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            z = params[k] + 1j * params[k + 1]
-            H[i, j] = z
-            H[j, i] = z.conjugate()
-            k += 2
-    return H
+    diag, upper, lower = _chart_layout(d)
+    z = params[d::2] + 1j * params[d + 1::2]
+    H = np.zeros(d * d, dtype=complex)
+    H[diag] = params[:d]
+    H[upper] = z
+    H[lower] = z.conj()
+    return H.reshape(d, d)
 
 
 def parameters_from_hermitian(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H)
     d = H.shape[0]
+    diag, upper, _ = _chart_layout(d)
+    flat = H.reshape(-1)
     params = np.empty(d * d)
-    params[:d] = np.real(np.diag(H))
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            params[k] = H[i, j].real
-            params[k + 1] = H[i, j].imag
-            k += 2
+    params[:d] = flat[diag].real
+    params[d::2] = flat[upper].real
+    params[d + 1::2] = flat[upper].imag
     return params
 
 

@@ -171,6 +171,12 @@ def test_malformed_state_file_exit_2(tmp_path):
     assert "line 5" in r.stderr
 
 
+def test_invalid_option_exit_2(psi_b_file):
+    r = run_cli("quantumness", psi_b_file, "--restarts", "0")
+    assert r.returncode == 2
+    assert "restarts" in r.stderr
+
+
 def test_missing_file_exit_2():
     r = run_cli("quantumness", "/nonexistent/state.txt")
     assert r.returncode == 2

@@ -13,9 +13,10 @@ from qcorr import (
     check_density_matrix,
     creation_matrix,
     enumerate_basis,
-    multiplicities,
     slater_state,
 )
+
+from helpers import random_density
 
 
 def test_bosonic_d2_n2_enumeration():
@@ -65,10 +66,6 @@ def test_enumerate_basis_errors():
 def test_vacuum_sector():
     vac = enumerate_basis(3, 0, Statistics.FERMIONIC)
     assert vac.states == ((),)
-
-
-def test_multiplicities():
-    assert multiplicities((0, 0, 2), 4).tolist() == [2, 0, 1, 0]
 
 
 def test_bosonic_creation_sqrt_factor():
@@ -148,3 +145,10 @@ def test_check_density_matrix():
         check_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))  # hermiticity
     with pytest.raises(InvalidState):
         check_density_matrix(np.diag([1.1, -0.1]))  # negativity
+
+
+def test_check_density_matrix_returns_the_spectrum_it_tests():
+    rho = random_density(5, np.random.default_rng(5))
+    evals = check_density_matrix(rho, dim=5)
+    np.testing.assert_array_equal(evals, np.linalg.eigvalsh((rho + rho.conj().T) / 2))
+    assert np.all(np.diff(evals) >= 0)

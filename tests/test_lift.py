@@ -120,6 +120,47 @@ def test_unitary_from_parameters_generator_object():
     assert_allclose(V, expm(1j * hermitian_from_parameters(params, 2)), atol=1e-12)
 
 
+def test_parameter_chart_positions():
+    # diagonal first, then (re, im) of the strict upper triangle, row-major
+    expected = {
+        3: [[1, 4 + 5j, 6 + 7j],
+            [4 - 5j, 2, 8 + 9j],
+            [6 - 7j, 8 - 9j, 3]],
+        4: [[1, 5 + 6j, 7 + 8j, 9 + 10j],
+            [5 - 6j, 2, 11 + 12j, 13 + 14j],
+            [7 - 8j, 11 - 12j, 3, 15 + 16j],
+            [9 - 10j, 13 - 14j, 15 - 16j, 4]],
+    }
+    for d, H in expected.items():
+        params = np.arange(1.0, d * d + 1)
+        np.testing.assert_array_equal(hermitian_from_parameters(params, d), H)
+        np.testing.assert_array_equal(parameters_from_hermitian(np.array(H)), params)
+
+
+def loop_hermitian_from_parameters(params, d):
+    H = np.zeros((d, d), dtype=complex)
+    H[np.diag_indices(d)] = params[:d]
+    k = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            z = params[k] + 1j * params[k + 1]
+            H[i, j] = z
+            H[j, i] = z.conjugate()
+            k += 2
+    return H
+
+
+def test_parameter_chart_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(31)
+    for d in range(1, 7):
+        for params in (rng.standard_normal(d * d),
+                       rng.choice([0.0, -0.0, 1.5, -2.0], size=d * d)):
+            H = hermitian_from_parameters(params, d)
+            ref = loop_hermitian_from_parameters(params, d)
+            assert H.tobytes() == ref.tobytes()
+            np.testing.assert_array_equal(parameters_from_hermitian(ref), params)
+
+
 def test_parameter_chart_round_trip():
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):

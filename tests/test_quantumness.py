@@ -74,6 +74,35 @@ def test_von_neumann_entropy_validates():
         von_neumann_entropy(np.diag([0.5, 0.6]))
 
 
+def count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_von_neumann_entropy_diagonalizes_once(monkeypatch):
+    rho = random_density(6, np.random.default_rng(8))
+    calls = count_eigvalsh(monkeypatch)
+    von_neumann_entropy(rho)
+    assert calls == [(6, 6)]
+
+
+def test_quantumness_and_oracle_diagonalize_rho_once(monkeypatch):
+    # the validity check's spectrum is the one S(rho) is taken from
+    basis = enumerate_basis(3, 2, Statistics.BOSONIC)
+    rho = random_density(basis.size, np.random.default_rng(9))
+    calls = count_eigvalsh(monkeypatch)
+    quantumness(rho, basis, OptimizerConfig(restarts=1, max_iterations=1))
+    quantumness_oracle(rho, basis, samples=2, seed=0)
+    assert calls == [(6, 6), (6, 6)]
+
+
 def test_shannon_entropy_cut():
     assert shannon_entropy(np.array([1.0, 1e-14, 0.0])) == 0.0
 
@@ -85,6 +114,14 @@ def test_relative_entropy_basics():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
     assert relative_entropy(a, b) == math.inf
+
+
+def test_relative_entropy_validates_first_argument():
+    sigma = np.eye(2, dtype=complex) / 2
+    with pytest.raises(InvalidState):
+        relative_entropy(np.diag([0.5, 0.6]), sigma)
+    with pytest.raises(InvalidState):
+        relative_entropy(np.diag([1.1, -0.1]), sigma)
 
 
 def test_relative_entropy_pinching_identity():
