@@ -57,13 +57,9 @@ from .fock import (
 )
 from .lift import (
     haar_random_unitary,
-    hermitian_from_parameters,
     lift_generator,
     lift_observable,
     lift_unitary,
-    parameters_from_hermitian,
-    parameters_from_unitary,
-    unitary_from_parameters,
 )
 from .measurement import MeasurementFamily, build_family, dephase, outcome_probabilities
 from .statefile import ParsedState, parse_state_file, parse_state_text, write_state_file, write_state_text

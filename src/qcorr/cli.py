@@ -23,11 +23,11 @@ from .activation import (
     verify_maximally_correlated,
 )
 from .correlations import (
+    DESCENTS_PER_RESTART,
     OptimizerConfig,
     classify_report,
     quantumness,
     quantumness_oracle,
-    von_neumann_entropy,
 )
 from .errors import (
     DimensionMismatch,
@@ -115,12 +115,13 @@ def cmd_quantumness(args) -> int:
     human = []
     if state.label:
         human.append(f"state: {state.label}")
-    human.append(f"entropy S(rho) = {von_neumann_entropy(rho):.12f} nats")
+    human.append(f"entropy S(rho) = {report.entropy:.12f} nats")
     human.append(f"quantumness Q = {report.q_value:.12f} nats"
-                 + ("" if report.converged else "   [restarts disagree]"))
-    human.append("per-restart values:")
+                 + ("" if report.converged else "   [descents disagree]"))
+    human.append(f"per-descent values ({DESCENTS_PER_RESTART} descents per restart, "
+                 "then any escape descents):")
     for k, v in enumerate(report.restart_values):
-        human.append(f"  restart {k}: {v:.12f}")
+        human.append(f"  descent {k}: {v:.12f}")
     if oracle is not None:
         human.append(f"oracle bound ({args.oracle_samples} Haar samples): {oracle:.12f}")
     human.append("argmin V:")
@@ -135,6 +136,7 @@ def cmd_quantumness(args) -> int:
         "q_value": report.q_value,
         "converged": report.converged,
         "restart_values": list(report.restart_values),
+        "entropy": report.entropy,
         "argmin_v": _matrix_json(report.argmin_v),
         "oracle_samples": args.oracle_samples or None,
         "oracle_value": oracle,
@@ -251,7 +253,8 @@ def _add_statistics_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=20,
-                   help="multistart count for the unitary-group search (default 20)")
+                   help="multistart count for the unitary-group search; each restart "
+                        f"is {DESCENTS_PER_RESTART} local descents (default 20)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed fixing every random draw (default 0)")
     p.add_argument("--tol", type=float, default=1e-8,

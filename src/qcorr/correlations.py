@@ -7,23 +7,16 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
-from .lift import (
-    _hopping,
-    haar_random_unitary,
-    hermitian_from_parameters,
-    lift_generator,
-    lift_unitary,
-    parameters_from_unitary,
-    unitary_from_parameters,
-)
+from .lift import _hopping, haar_random_unitary, lift_observable, lift_unitary
 from .measurement import build_family, dephase
 
 _EIG_CUT = 1e-12
@@ -54,7 +47,11 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
-    s_rho = shannon_entropy(check_density_matrix(rho))
+    return _relative_entropy(rho, sigma, shannon_entropy(check_density_matrix(rho)))
+
+
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, s_rho: float) -> float:
+    """Body of `relative_entropy` for a checked rho whose entropy is s_rho."""
     mu, U = np.linalg.eigh((sigma + sigma.conj().T) / 2)
     weights = np.einsum("ij,jk,ik->i", U.conj().T, rho, U.T).real
     on_kernel = weights[mu <= _EIG_CUT].sum()
@@ -70,7 +67,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _outcome_entropy(G: np.ndarray, rho: np.ndarray) -> float:
     """Shannon entropy of the Born distribution diag(G rho G+)."""
-    p = np.einsum("ij,jk,ik->i", G, rho, G.conj()).real
+    p = ((G @ rho) * G.conj()).sum(axis=1).real
     np.clip(p, 0.0, None, out=p)
     return shannon_entropy(p)
 
@@ -93,13 +90,17 @@ def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart derivative-free search over the d^2-parameter generator chart.
+    """Multistart local search over the single-particle unitary group.
 
-    The first start is the natural-orbital basis of the one-particle reduced
-    density matrix (which lands exactly on a minimizer for the entire
-    zero-quantumness family); remaining starts are Haar random.  Restarting
-    stops early once a restart reaches `tol`, since the objective is bounded
-    below by zero.
+    One restart is DESCENTS_PER_RESTART (four) L-BFGS descents of at most
+    `max_iterations` iterations each.  The first descent starts at the
+    natural-orbital basis of the one-particle reduced density matrix (which
+    lands exactly on a minimizer for the entire zero-quantumness family);
+    the others start at Haar-random rotations drawn from `seed`.  Descending
+    stops early once a descent reaches `tol`, since every objective searched
+    is bounded below by zero.  Otherwise plane rotations around the best
+    point are scanned, and the search descends again from any scanned point
+    lower by more than `tol`.
     """
 
     restarts: int = 20
@@ -116,39 +117,207 @@ class OptimizerConfig:
 class QuantumnessReport:
     q_value: float
     argmin_v: np.ndarray = field(repr=False)
-    restart_values: tuple[float, ...]
+    restart_values: tuple[float, ...]  # the final value of every descent
     oracle_value: float | None
     converged: bool
+    entropy: float  # S(rho), from the spectrum the state check computed
 
 
-def _minimize_over_group(objective, d: int, warm_unitaries, cfg: OptimizerConfig):
-    """Shared multistart loop: returns (best value, best V, per-start values).
+# The local solver is L-BFGS on U(d), re-centred at every step: a step moves
+# V -> exp(itX) V, so the lift moves G -> exp(it dGamma(X)) G.  Every
+# objective here is unchanged by diagonal X (the torus), so X runs over the
+# d^2 - d off-diagonal Hermitian generators, in coordinates x with
+# X_ij = x[2k] + i x[2k+1] for the k-th pair i < j, row-major.
+DESCENTS_PER_RESTART = 4
+_MEMORY = 8
+_GRAD_TOL = 1e-9  # a descent stops once every gradient coordinate is below this
+_ARMIJO = 1e-4
+_HALVINGS = 20
+_ROUNDING = 1e-12  # a step predicted to gain less than this fraction of the value
+_FIRST_STEP = 0.1  # largest generator entry of a descent's first trial step
+_FD_STEP = 1e-5  # central differences for the objectives without a gradient
+# The escape scan turns each mode plane i < j by exp(i theta X), X = z E_ij + h.c.,
+# at four phases z: with only the unit coordinates (z = 1, i) a two-mode
+# superposition whose relative phase sits between them stays trapped.  A
+# quarter turn permutes the two modes up to phases, which leaves every
+# objective unchanged, so the angles cover (0, pi/2).
+_SCAN_PHASES = (1.0, (1 + 1j) / math.sqrt(2), 1j, (-1 + 1j) / math.sqrt(2))
+_SCAN_ANGLES = np.pi / 16 * np.arange(1, 8)
 
-    Starts from the given warm unitaries (truncated to cfg.restarts), then
-    fills the remaining restarts with Haar samples from cfg.seed.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    starts = [parameters_from_unitary(W) for W in warm_unitaries[: cfg.restarts]]
-    for _ in range(cfg.restarts - len(starts)):
-        starts.append(parameters_from_unitary(haar_random_unitary(d, rng)))
 
-    best_val = math.inf
-    best_theta = starts[0]
-    values = []
-    for theta0 in starts:
-        res = minimize(
-            objective,
-            theta0,
-            method="Powell",
-            options={"maxiter": cfg.max_iterations, "xtol": 1e-7, "ftol": 1e-10},
-        )
-        values.append(float(res.fun))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = np.asarray(res.x)
-        if best_val <= cfg.tol:
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(d, k=1)
+
+
+def _generator(x: np.ndarray, d: int) -> np.ndarray:
+    rows, cols = _pairs(d)
+    X = np.zeros((d, d), dtype=complex)
+    X[rows, cols] = x[0::2] + 1j * x[1::2]
+    X[cols, rows] = X[rows, cols].conj()
+    return X
+
+
+def _curves(X: np.ndarray, basis: FockBasis):
+    """The curves t -> (exp(itX) V, exp(it dGamma(X)) G) through points
+    (V, G = Gamma(V)).  One eigendecomposition of X and one of dGamma(X)
+    serve every point and every t."""
+    w, u = np.linalg.eigh(X)
+    W, U = np.linalg.eigh(lift_observable(X, basis))
+
+    def through(V, G):
+        uV, UG = u.conj().T @ V, U.conj().T @ G
+        return lambda t: ((u * np.exp(1j * t * w)) @ uV, (U * np.exp(1j * t * W)) @ UG)
+
+    return through
+
+
+@lru_cache(maxsize=None)
+def _planes(basis: FockBasis) -> tuple:
+    """`_curves` of the scan generators, plane by plane and _SCAN_PHASES
+    within a plane; every second one is a unit coordinate, in order."""
+    m = basis.d * basis.d - basis.d
+    planes = []
+    for k in range(m // 2):
+        for z in _SCAN_PHASES:
+            x = np.zeros(m)
+            x[2 * k], x[2 * k + 1] = z.real, z.imag
+            planes.append(_curves(_generator(x, basis.d), basis))
+    return tuple(planes)
+
+
+def _central_differences(objective, basis: FockBasis):
+    def gradient(V, G):
+        out = np.empty(basis.d * basis.d - basis.d)
+        for k, plane in enumerate(_planes(basis)[::2]):
+            at = plane(V, G)
+            out[k] = (objective(*at(_FD_STEP)) - objective(*at(-_FD_STEP))) / (2 * _FD_STEP)
+        return out
+
+    return gradient
+
+
+def _two_loop(g: np.ndarray, steps, changes) -> np.ndarray:
+    """L-BFGS inverse-Hessian estimate applied to g (two-loop recursion)."""
+    q = g.copy()
+    alphas = []
+    for s, y in zip(reversed(steps), reversed(changes)):
+        a = (s @ q) / (y @ s)
+        q -= a * y
+        alphas.append(a)
+    if steps:
+        q *= (steps[-1] @ changes[-1]) / (changes[-1] @ changes[-1])
+    for s, y, a in zip(steps, changes, reversed(alphas)):
+        q += (a - (y @ q) / (y @ s)) * s
+    return q
+
+
+def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: OptimizerConfig):
+    """One L-BFGS descent from V with Armijo backtracking.  Stops when every
+    gradient coordinate is below _GRAD_TOL, when the value stops falling (a
+    full step is predicted to gain less than _ROUNDING of the value, or no
+    step lowers it even along -gradient), or after cfg.max_iterations
+    iterations.
+    Returns the final V and the objective there at a fresh lift."""
+    G = lift_unitary(V, basis)
+    value, g = objective(V, G), gradient(V, G)
+    steps, changes = deque(maxlen=_MEMORY), deque(maxlen=_MEMORY)
+    for _ in range(cfg.max_iterations):
+        if np.abs(g).max(initial=0.0) < _GRAD_TOL:
             break
-    return best_val, unitary_from_parameters(best_theta, d), tuple(values)
+        p = -_two_loop(g, steps, changes)
+        slope = g @ p
+        if slope >= 0.0:
+            steps.clear()
+            changes.clear()
+            p, slope = -g, -(g @ g)
+        t = 1.0 if steps else min(1.0, _FIRST_STEP / np.abs(p).max())
+        if -t * slope <= _ROUNDING * abs(value):
+            break
+        at = _curves(_generator(p, basis.d), basis)(V, G)
+        for _ in range(_HALVINGS):
+            V_t, G_t = at(t)
+            trial = objective(V_t, G_t)
+            if trial <= value + _ARMIJO * t * slope:
+                break
+            t /= 2
+        else:
+            if not steps:
+                break
+            steps.clear()  # retry along -gradient
+            changes.clear()
+            continue
+        g_t = gradient(V_t, G_t)
+        s, y = t * p, g_t - g
+        if s @ y > 0.0:
+            steps.append(s)
+            changes.append(y)
+        V, G, value, g = V_t, G_t, trial, g_t
+    return V, objective(V, lift_unitary(V, basis))
+
+
+def _scan(objective, basis: FockBasis, V: np.ndarray):
+    """Lowest objective over the plane rotations of V at _SCAN_PHASES and
+    _SCAN_ANGLES, and the rotation attaining it."""
+    # The objective ignores the row phases of V, but the scan's generator
+    # phases are relative to them: fix them (largest entry of each row real
+    # positive) so that every point of V's torus orbit scans the same set.
+    lead = V[np.arange(basis.d), np.abs(V).argmax(axis=1)]
+    V = V * (lead.conj() / np.abs(lead))[:, None]
+    G = lift_unitary(V, basis)
+    best, arg = math.inf, V
+    for plane in _planes(basis):
+        at = plane(V, G)
+        for theta in _SCAN_ANGLES:
+            V_t, G_t = at(theta)
+            value = objective(V_t, G_t)
+            if value < best:
+                best, arg = value, V_t
+    return best, arg
+
+
+def _minimize_over_group(objective, basis: FockBasis, warm_unitaries, cfg: OptimizerConfig,
+                         gradient=None):
+    """Shared multistart driver: returns (best value, best V, the value of
+    every descent in order).
+
+    objective(V, G) takes a d x d unitary V and its lift G = Gamma(V); it
+    must be unchanged by V -> D V for diagonal unitary D, and nonnegative.
+    gradient(V, G) returns its derivative coordinates along V -> exp(itX) V;
+    without one, central differences along the unit generators stand in.
+    Descents start at the warm unitaries, then at Haar samples from
+    cfg.seed, DESCENTS_PER_RESTART * cfg.restarts in all, and stop once one
+    reaches cfg.tol.  A point where some outcome probability vanishes is a
+    local trap for -p log p, so the search then scans plane rotations around
+    the best point and descends again from the lowest scanned point while
+    it beats the best by more than cfg.tol, at most once per start.
+    """
+    if gradient is None:
+        gradient = _central_differences(objective, basis)
+    rng = np.random.default_rng(cfg.seed)
+    budget = DESCENTS_PER_RESTART * cfg.restarts
+    best, best_v, values = math.inf, None, []
+
+    def descend(V0):
+        nonlocal best, best_v
+        V, value = _descend(objective, gradient, basis, V0, cfg)
+        values.append(value)
+        if value < best:
+            best, best_v = value, V
+
+    for k in range(budget):
+        descend(warm_unitaries[k] if k < len(warm_unitaries)
+                else haar_random_unitary(basis.d, rng))
+        if best <= cfg.tol:
+            break
+    for _ in range(budget):
+        if best <= cfg.tol:
+            break
+        scanned, V0 = _scan(objective, basis, best_v)
+        if scanned >= best - cfg.tol:
+            break
+        descend(V0)
+    return best, best_v, tuple(values)
 
 
 def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
@@ -158,6 +327,27 @@ def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
     return ordered[1] - ordered[0] <= 1e-4
 
 
+def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
+    """Derivative coordinates of H(diag G rho G+) along V -> exp(itX) V:
+    dH = Re <g, X> with g_ij = Tr(E_ji (-iC)), C_ab = sigma_ab (l_b - l_a),
+    sigma = G rho G+, l = log p and E the hopping tensor, returned as the
+    coordinates 2 (Re g_ij, Im g_ij) of the pairs i < j.  |sigma_ab|^2 <=
+    p_a p_b keeps C bounded as p -> 0, where p is clipped at 1e-300."""
+    rows, cols = _pairs(basis.d)
+    E = _hopping(basis.d, basis.n, basis.statistics)[cols, rows].reshape(rows.size, -1)
+
+    def gradient(V, G):
+        sigma = (G @ rho) @ G.conj().T
+        log_p = np.log(np.maximum(sigma.diagonal().real, 1e-300))
+        C = sigma * (log_p[None, :] - log_p[:, None])
+        g = E @ (-1j * C).T.ravel()
+        out = np.empty(2 * rows.size)
+        out[0::2], out[1::2] = 2 * g.real, 2 * g.imag
+        return out
+
+    return gradient
+
+
 def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = OptimizerConfig()) -> QuantumnessReport:
     """Minimize projected_entropy(rho, V) - S(rho) over single-particle
     unitaries V.
@@ -165,21 +355,26 @@ def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = Optimi
     The minimum is the quantumness of correlations: zero exactly on states
     that are convex mixtures of lifted Fock states in a common single-particle
     basis, positive otherwise.  Values in (-1e-9, 0) are clamped to zero.  The
-    `converged` flag is false when no second restart confirms the best value
+    `converged` flag is false when no second descent confirms the best value
     within 1e-4.
     """
     rho = np.asarray(rho, dtype=complex)
-    s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
-    d = basis.d
+    return _quantumness(rho, basis, cfg, check_density_matrix(rho, dim=basis.size))
 
-    def objective(theta):
-        G = lift_generator(hermitian_from_parameters(theta, d), basis)
+
+def _quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig,
+                 spectrum: np.ndarray) -> QuantumnessReport:
+    """Body of `quantumness` for a checked rho with the given spectrum."""
+    s_rho = shannon_entropy(spectrum)
+
+    def objective(V, G):
         return _outcome_entropy(G, rho) - s_rho
 
     # R transforms as R -> conj(V) R V^T under rho -> Gamma(V) rho Gamma(V)+,
     # so W^T (not W+) is the rotation that lands on the natural-orbital basis
     W = np.linalg.eigh(one_particle_rdm(rho, basis))[1]
-    best, V, values = _minimize_over_group(objective, d, [W.T.copy()], cfg)
+    best, V, values = _minimize_over_group(objective, basis, [W.T], cfg,
+                                           gradient=_entropy_gradient(rho, basis))
     q = best
     if -1e-9 < q < 0.0:
         q = 0.0
@@ -189,6 +384,7 @@ def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = Optimi
         restart_values=values,
         oracle_value=None,
         converged=_converged(values, best, cfg.tol),
+        entropy=s_rho,
     )
 
 
@@ -218,20 +414,18 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     Independent route to the same number as `quantumness`: the objective here
     is S(rho || Delta_V(rho)) computed through eigendecompositions, where
     Delta_V pinches in the basis Gamma(V)+|k>; the pinching identity makes it
-    equal projected_entropy(rho, V) - S(rho) at every V.
+    equal projected_entropy(rho, V) - S(rho) at every V.  It has no gradient
+    of its own, so the search takes central differences of its values.
     """
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho, dim=basis.size)
-    d = basis.d
+    s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
 
-    def objective(theta):
-        V = unitary_from_parameters(theta, d)
-        fam = build_family(V.conj().T, basis)
-        sigma = dephase(rho, fam)
-        return relative_entropy(rho, sigma)
+    def objective(V, G):
+        sigma = dephase(rho, build_family(V.conj().T, basis))
+        return _relative_entropy(rho, sigma, s_rho)
 
     W = np.linalg.eigh(one_particle_rdm(rho, basis))[1]
-    best, _, _ = _minimize_over_group(objective, d, [W.T.copy()], cfg)
+    best, _, _ = _minimize_over_group(objective, basis, [W.T], cfg)
     if -1e-9 < best < 0.0:
         best = 0.0
     return float(best)
@@ -287,45 +481,44 @@ class ClassificationReport:
 
 
 def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> float:
-    """Frobenius distance from G+ rho G, G a lifted rotation, to the nearest
-    diagonal state supported on all-particles-in-one-mode labels."""
-    X = G.conj().T @ rho @ G
-    target = np.zeros_like(X)
+    """Squared Frobenius distance from G rho G+, G a lifted rotation, to the
+    nearest diagonal state supported on all-particles-in-one-mode labels."""
+    X = G @ rho @ G.conj().T
     for i in range(basis.d):
         occ = (i,) * basis.n
         if occ in basis:
             k = basis.index_of(occ)
-            target[k, k] = X[k, k].real
-    return float(np.linalg.norm(X - target))
+            X[k, k] -= X[k, k].real
+    return float(np.vdot(X, X).real)
 
 
 def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
                            cfg: OptimizerConfig) -> tuple[bool, float]:
-    """Detect rho = Gamma(V) (sum_i p_i |i,i,...,i><...|) Gamma(V)+.
+    """Detect rho = Gamma(W) (sum_i p_i |i,i,...,i><...|) Gamma(W)+; returns
+    the verdict and the Frobenius defect.
 
-    The natural-orbital basis is the candidate V; when the one-particle
-    spectrum is degenerate the candidate basis is ambiguous, so a defect
-    minimization over the group decides.
+    The natural-orbital basis gives the candidate V; when the one-particle
+    spectrum is degenerate the candidate basis is ambiguous, so a search
+    over the group minimizes the squared defect (the defect itself has a
+    kink at its zero).
     """
     R = one_particle_rdm(rho, basis)
     evals, W = np.linalg.eigh(R)
-    # a condensate mixture over columns of V has R = conj(V) (n diag p) V^T,
-    # so the candidate frame is the conjugate of the eigenvector matrix
-    cand = W.conj()
-    defect = _condensate_defect(rho, basis, lift_unitary(cand, basis))
-    if defect <= STRUCTURE_TOL:
-        return True, defect
+    # as in quantumness, W^T rotates rho into the natural-orbital basis
+    V = W.T
+    defect = _condensate_defect(rho, basis, lift_unitary(V, basis))
+    if defect <= STRUCTURE_TOL ** 2:
+        return True, math.sqrt(defect)
     gaps = np.diff(np.sort(evals))
     if gaps.size and gaps.min() > 1e-8:
-        return False, defect  # non-degenerate spectrum: candidate was the only option
-    d = basis.d
+        # non-degenerate spectrum: the candidate was the only option
+        return False, math.sqrt(defect)
 
-    def objective(theta):
-        G = lift_generator(hermitian_from_parameters(theta, d), basis)
+    def objective(V, G):
         return _condensate_defect(rho, basis, G)
 
-    best, _, _ = _minimize_over_group(objective, d, [cand], cfg)
-    return best <= STRUCTURE_TOL, min(defect, best)
+    best, _, _ = _minimize_over_group(objective, basis, [V], cfg)
+    return best <= STRUCTURE_TOL ** 2, math.sqrt(min(defect, best))
 
 
 def slater_rank_two_particle(psi: np.ndarray, basis: FockBasis) -> int:
@@ -384,7 +577,7 @@ def classify_report(rho: np.ndarray, basis: FockBasis,
     undecided because separability is not tested here.
     """
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho, dim=basis.size)
+    spectrum = check_density_matrix(rho, dim=basis.size)
 
     defect = None
     if basis.statistics is Statistics.BOSONIC:
@@ -392,7 +585,7 @@ def classify_report(rho: np.ndarray, basis: FockBasis,
         if is_c:
             return ClassificationReport(Classification.CLASSICAL_ONLY_C, 0.0, None, defect)
 
-    report = quantumness(rho, basis, cfg)
+    report = _quantumness(rho, basis, cfg, spectrum)
     rank = None
     purity = float(np.trace(rho @ rho).real)
     if basis.n == 2 and purity > 1.0 - 1e-10:

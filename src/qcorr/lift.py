@@ -40,11 +40,6 @@ def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
     return E
 
 
-def _exp_i_hermitian(H: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(H)
-    return (U * np.exp(1j * w)) @ U.conj().T
-
-
 def _log_unitary(V: np.ndarray) -> np.ndarray:
     """A Hermitian H with exp(iH) = V, from the complex Schur form of V.
 
@@ -66,12 +61,14 @@ def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.shape != (basis.d, basis.d):
         raise DimensionMismatch(f"M has shape {M.shape}, basis has d={basis.d}")
-    return np.tensordot(M, _hopping(basis.d, basis.n, basis.statistics), axes=2)
+    E = _hopping(basis.d, basis.n, basis.statistics)
+    return (M.reshape(-1) @ E.reshape(M.size, -1)).reshape(E.shape[2:])
 
 
 def lift_generator(H: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Gamma(exp(iH)) = exp(i dGamma(H)) for a Hermitian d x d generator H."""
-    return _exp_i_hermitian(lift_observable(H, basis))
+    w, U = np.linalg.eigh(lift_observable(H, basis))
+    return (U * np.exp(1j * w)) @ U.conj().T
 
 
 def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -88,60 +85,6 @@ def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
             f"V has shape {V.shape}, basis has d={basis.d}"
         )
     return lift_generator(_log_unitary(V), basis)
-
-
-@lru_cache(maxsize=None)
-def _chart_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into a d x d matrix of the chart's entries, in parameter
-    order: the diagonal, the strict upper triangle row-major, and the mirror
-    of that triangle."""
-    rows, cols = np.triu_indices(d, k=1)
-    layout = (np.arange(d) * (d + 1), rows * d + cols, cols * d + rows)
-    for idx in layout:
-        idx.flags.writeable = False
-    return layout
-
-
-def hermitian_from_parameters(params: np.ndarray, d: int) -> np.ndarray:
-    """Real chart for the unitary group: d diagonal entries followed by
-    (re, im) pairs for the strictly upper-triangular part, row-major."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (d * d,):
-        raise DimensionMismatch(f"need {d * d} parameters for d={d}, got {params.shape}")
-    diag, upper, lower = _chart_layout(d)
-    z = params[d::2] + 1j * params[d + 1::2]
-    H = np.zeros(d * d, dtype=complex)
-    H[diag] = params[:d]
-    H[upper] = z
-    H[lower] = z.conj()
-    return H.reshape(d, d)
-
-
-def parameters_from_hermitian(H: np.ndarray) -> np.ndarray:
-    H = np.asarray(H)
-    d = H.shape[0]
-    diag, upper, _ = _chart_layout(d)
-    flat = H.reshape(-1)
-    params = np.empty(d * d)
-    params[:d] = flat[diag].real
-    params[d::2] = flat[upper].real
-    params[d + 1::2] = flat[upper].imag
-    return params
-
-
-def unitary_from_parameters(params: np.ndarray, d: int) -> np.ndarray:
-    """V = exp(i H) for the Hermitian matrix encoded by the parameter vector."""
-    return _exp_i_hermitian(hermitian_from_parameters(params, d))
-
-
-def parameters_from_unitary(V: np.ndarray) -> np.ndarray:
-    """Principal-branch inverse chart: parameters of -i log V, Hermitized.
-
-    Exact inverse when V's eigenvalue phases avoid the branch cut; always a
-    valid starting point for local search (unitary_from_parameters of the
-    result reproduces V).
-    """
-    return parameters_from_hermitian(_log_unitary(np.asarray(V, dtype=complex)))
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

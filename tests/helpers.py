@@ -91,3 +91,16 @@ def two_fermion_quantumness(psi: np.ndarray, states, d: int) -> float:
     lam = np.linalg.svd(w, compute_uv=False)[::2] ** 2
     lam = lam[lam > 1e-300] / lam.sum()
     return float(-(lam * np.log(lam)).sum())
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every np.linalg.eigvalsh call from now on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls

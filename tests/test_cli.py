@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from qcorr import Statistics, enumerate_basis, write_state_file
+from qcorr import Statistics, enumerate_basis, shannon_entropy, write_state_file
+from qcorr.cli import main
+
+from helpers import count_eigvalsh, random_density
 
 LN2 = math.log(2)
 
@@ -208,3 +211,19 @@ def test_round_trip_through_writer(tmp_path):
     r = run_cli("quantumness", str(p), "--restarts", "2", "--machine")
     assert r.returncode == 0
     assert json.loads(r.stdout)["label"] == "round trip"
+
+
+def test_quantumness_report_takes_entropy_from_the_search(monkeypatch, tmp_path, capsys):
+    # a mixed file is diagonalized by the parser's check and by quantumness;
+    # the report line reuses that S(rho) instead of a third eigvalsh
+    basis = enumerate_basis(3, 2, Statistics.BOSONIC)
+    rho = random_density(basis.size, np.random.default_rng(13))
+    path = tmp_path / "mixed.txt"
+    write_state_file(path, basis, rho=rho)
+    calls = count_eigvalsh(monkeypatch)
+    assert main(["quantumness", str(path), "--restarts", "1"]) == 0
+    assert calls == [(6, 6), (6, 6)]
+    out = capsys.readouterr().out
+    assert f"entropy S(rho) = {shannon_entropy(np.linalg.eigvalsh(rho)):.12f} nats" in out
+    # one restart is four descents, each listed
+    assert "descent 3:" in out

@@ -10,13 +10,9 @@ from qcorr import (
     Statistics,
     enumerate_basis,
     haar_random_unitary,
-    hermitian_from_parameters,
     lift_observable,
     lift_unitary,
-    parameters_from_hermitian,
-    parameters_from_unitary,
     slater_state,
-    unitary_from_parameters,
 )
 
 from helpers import plus_minus_rotation, reference_lift
@@ -100,78 +96,6 @@ def test_lift_dimension_mismatch():
     basis = enumerate_basis(3, 2, Statistics.BOSONIC)
     with pytest.raises(DimensionMismatch):
         lift_unitary(np.eye(2), basis)
-
-
-def test_unitary_from_parameters_zero_is_identity():
-    assert_allclose(unitary_from_parameters(np.zeros(9), 3), np.eye(3), atol=1e-15)
-
-
-def test_unitary_from_parameters_pauli_x_rotation():
-    # H = (pi/2) sigma_x  ->  exp(iH) = i sigma_x
-    params = np.array([0.0, 0.0, math.pi / 2, 0.0])
-    V = unitary_from_parameters(params, 2)
-    assert_allclose(V, 1j * np.array([[0, 1], [1, 0]]), atol=1e-12)
-
-
-def test_unitary_from_parameters_generator_object():
-    params = np.array([0.3, -0.2, 0.1, 0.4])
-    V = unitary_from_parameters(params, 2)
-    assert_allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
-    assert_allclose(V, expm(1j * hermitian_from_parameters(params, 2)), atol=1e-12)
-
-
-def test_parameter_chart_positions():
-    # diagonal first, then (re, im) of the strict upper triangle, row-major
-    expected = {
-        3: [[1, 4 + 5j, 6 + 7j],
-            [4 - 5j, 2, 8 + 9j],
-            [6 - 7j, 8 - 9j, 3]],
-        4: [[1, 5 + 6j, 7 + 8j, 9 + 10j],
-            [5 - 6j, 2, 11 + 12j, 13 + 14j],
-            [7 - 8j, 11 - 12j, 3, 15 + 16j],
-            [9 - 10j, 13 - 14j, 15 - 16j, 4]],
-    }
-    for d, H in expected.items():
-        params = np.arange(1.0, d * d + 1)
-        np.testing.assert_array_equal(hermitian_from_parameters(params, d), H)
-        np.testing.assert_array_equal(parameters_from_hermitian(np.array(H)), params)
-
-
-def loop_hermitian_from_parameters(params, d):
-    H = np.zeros((d, d), dtype=complex)
-    H[np.diag_indices(d)] = params[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            z = params[k] + 1j * params[k + 1]
-            H[i, j] = z
-            H[j, i] = z.conjugate()
-            k += 2
-    return H
-
-
-def test_parameter_chart_matches_loop_reference_bitwise():
-    rng = np.random.default_rng(31)
-    for d in range(1, 7):
-        for params in (rng.standard_normal(d * d),
-                       rng.choice([0.0, -0.0, 1.5, -2.0], size=d * d)):
-            H = hermitian_from_parameters(params, d)
-            ref = loop_hermitian_from_parameters(params, d)
-            assert H.tobytes() == ref.tobytes()
-            np.testing.assert_array_equal(parameters_from_hermitian(ref), params)
-
-
-def test_parameter_chart_round_trip():
-    rng = np.random.default_rng(23)
-    for d in (2, 3, 4):
-        params = rng.standard_normal(d * d)
-        H = hermitian_from_parameters(params, d)
-        assert_allclose(H, H.conj().T, atol=1e-15)
-        assert_allclose(parameters_from_hermitian(H), params, atol=1e-15)
-        V = unitary_from_parameters(params, d)
-        # log chart recovers a generator that reproduces V
-        back = unitary_from_parameters(parameters_from_unitary(V), d)
-        assert_allclose(back, V, atol=1e-10)
 
 
 def test_lift_observable_number_operator():

@@ -34,7 +34,13 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from helpers import plus_minus_rotation, random_density, random_pure, two_fermion_quantumness
+from helpers import (
+    count_eigvalsh,
+    plus_minus_rotation,
+    random_density,
+    random_pure,
+    two_fermion_quantumness,
+)
 
 LN2 = math.log(2)
 
@@ -74,18 +80,6 @@ def test_von_neumann_entropy_validates():
         von_neumann_entropy(np.diag([0.5, 0.6]))
 
 
-def count_eigvalsh(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
 def test_von_neumann_entropy_diagonalizes_once(monkeypatch):
     rho = random_density(6, np.random.default_rng(8))
     calls = count_eigvalsh(monkeypatch)
@@ -101,6 +95,16 @@ def test_quantumness_and_oracle_diagonalize_rho_once(monkeypatch):
     quantumness(rho, basis, OptimizerConfig(restarts=1, max_iterations=1))
     quantumness_oracle(rho, basis, samples=2, seed=0)
     assert calls == [(6, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSONIC, Statistics.FERMIONIC])
+def test_classify_report_diagonalizes_rho_once(monkeypatch, stats):
+    # its own check's spectrum is handed on to the quantumness search
+    basis = enumerate_basis(3, 2, stats)
+    rho = random_density(basis.size, np.random.default_rng(12))
+    calls = count_eigvalsh(monkeypatch)
+    classify_report(rho, basis, OptimizerConfig(restarts=1, max_iterations=3))
+    assert calls == [(basis.size, basis.size)]
 
 
 def test_shannon_entropy_cut():
