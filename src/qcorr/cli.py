@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -160,6 +161,8 @@ def _read_v_matrix(path, d: int) -> np.ndarray:
                 nums = [float(v) for v in vals]
             except ValueError:
                 raise StateFileError("bad float in V row", lineno) from None
+            if not all(math.isfinite(x) for x in nums):
+                raise StateFileError("non-finite float in V row", lineno)
             rows.append([complex(nums[2 * k], nums[2 * k + 1]) for k in range(d)])
     if len(rows) != d:
         raise StateFileError(f"V needs {d} rows, got {len(rows)}")

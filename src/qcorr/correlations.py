@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
 from .lift import _hopping, haar_random_unitary, lift_observable, lift_unitary
-from .measurement import build_family, dephase
+from .measurement import MeasurementFamily, dephase
 
 _EIG_CUT = 1e-12
 # classify_report: Q at or below Q_TOL is class P; a condensate-mixture
@@ -53,7 +53,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, s_rho: float) -> float:
     """Body of `relative_entropy` for a checked rho whose entropy is s_rho."""
     mu, U = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    weights = np.einsum("ij,jk,ik->i", U.conj().T, rho, U.T).real
+    weights = ((U.conj().T @ rho) * U.T).sum(axis=1).real
     on_kernel = weights[mu <= _EIG_CUT].sum()
     if on_kernel > 1e-10:
         return math.inf
@@ -421,7 +421,8 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
 
     def objective(V, G):
-        sigma = dephase(rho, build_family(V.conj().T, basis))
+        # the family of V+ has the lift Gamma(V+) = G+, so no second lift
+        sigma = dephase(rho, MeasurementFamily(V.conj().T, basis, G.conj().T))
         return _relative_entropy(rho, sigma, s_rho)
 
     W = np.linalg.eigh(one_particle_rdm(rho, basis))[1]

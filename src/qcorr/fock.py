@@ -127,30 +127,38 @@ def slater_state(occ, basis: FockBasis) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Raise InvalidState unless rho is a density matrix: Hermitian within
-    HERM_TOL, unit-trace within TRACE_TOL, no eigenvalue below -EIG_TOL.
+    """Raise InvalidState unless rho is a density matrix: finite, Hermitian
+    within HERM_TOL, unit-trace within TRACE_TOL, no eigenvalue below -EIG_TOL.
 
     Returns the ascending eigenvalues of (rho + rho+)/2, the spectrum the
     positivity test needs and S(rho) reuses.
     """
-    return _psd_eigenvalues(_check_hermitian_unit_trace(rho, dim))
-
-
-def _check_hermitian_unit_trace(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """The O(size) part of `check_density_matrix`: shape, Hermiticity and
-    trace.  Returns rho as an array."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[0]}")
+    _check_hermitian(rho)
+    _check_unit_trace(np.trace(rho))
+    return _psd_eigenvalues(rho)
+
+
+def _check_hermitian(rho: np.ndarray) -> None:
+    """Raise InvalidState on a non-finite entry (before any arithmetic on it,
+    since every comparison with NaN is False) or a Hermiticity defect above
+    HERM_TOL."""
+    finite = np.isfinite(rho)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise InvalidState(f"non-finite entry {rho[at]} at {at}")
     herm_defect = np.abs(rho - rho.conj().T).max()
     if herm_defect > HERM_TOL:
         raise InvalidState(f"not Hermitian: defect {herm_defect:.3e} > {HERM_TOL:.0e}")
-    tr = np.trace(rho)
+
+
+def _check_unit_trace(tr: complex) -> None:
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidState(f"trace {tr} differs from 1 beyond {TRACE_TOL:.0e}")
-    return rho
 
 
 def _psd_eigenvalues(rho: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def outcome_probabilities(rho: np.ndarray, fam: MeasurementFamily) -> np.ndarray
     if rho.shape != G.shape:
         raise DimensionMismatch(f"state shape {rho.shape} vs family dimension {G.shape[0]}")
     # Tr(G|k><k|G+ rho) = (G+ rho G)_kk
-    p = np.einsum("ji,jk,ki->i", G.conj(), rho, G).real
+    p = _rotated_diagonal(G, rho)
     np.clip(p, 0.0, None, out=p)
     return p
 
@@ -55,5 +55,9 @@ def dephase(rho: np.ndarray, fam: MeasurementFamily) -> np.ndarray:
     G = fam.rotation
     if rho.shape != G.shape:
         raise DimensionMismatch(f"state shape {rho.shape} vs family dimension {G.shape[0]}")
-    p = np.einsum("ji,jk,ki->i", G.conj(), rho, G)
-    return (G * p.real) @ G.conj().T
+    return (G * _rotated_diagonal(G, rho)) @ G.conj().T
+
+
+def _rotated_diagonal(G: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """diag(G+ rho G), real part, as one matrix product and a row sum."""
+    return ((G.conj().T @ rho) * G.T).sum(axis=1).real

@@ -16,6 +16,7 @@ warning.  Mixed bodies must describe a Hermitian, PSD, unit-trace matrix
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,9 +76,12 @@ def _occupation_index(token: str, labels: dict, basis: FockBasis,
 
 def _parse_float(token: str, lineno: int, code: str, k: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise _error_at(f"bad float {token!r}", lineno, code, k) from None
+    if not math.isfinite(value):
+        raise _error_at(f"non-finite float {token!r}", lineno, code, k)
+    return value
 
 
 def _token_columns(raw: str):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 import qcorr.activation
 from qcorr import (
     InvalidDimension,
+    InvalidState,
     JointState,
     NotMaxCorrelated,
     Statistics,
@@ -22,6 +24,7 @@ from qcorr import (
     max_corr_coefficients,
     partial_trace,
     run_protocol,
+    shannon_entropy,
     slater_state,
     verify_maximally_correlated,
     von_neumann_entropy,
@@ -235,7 +238,7 @@ def _mask_worst(js):
 def test_protocol_matches_dense_construction(d, n, stats, kind):
     basis, rho, V = _pin_input(d, n, stats, kind)
     js = run_protocol(rho, V, basis)
-    assert np.abs(js.matrix - _dense_protocol(rho, V, basis)).max() <= 1e-15
+    assert np.array_equal(js.matrix, _dense_protocol(rho, V, basis))
     ok, worst = verify_maximally_correlated(js)
     assert ok and worst == _mask_worst(js)
     full_route = (von_neumann_entropy(partial_trace(js, Subsystem.SYSTEM))
@@ -271,3 +274,119 @@ def test_run_protocol_rejects_oversized_joint_before_lifting(monkeypatch):
     assert time.perf_counter() - start < 1.0
     # the limit admits every sector up to D = 90
     assert 16 * 90**4 <= qcorr.activation.MAX_JOINT_BYTES < 16 * 91**4
+
+
+def test_protocol_peak_memory_is_about_one_joint():
+    basis, rho, V = _pin_input(4, 4, Statistics.BOSONIC, "mixed")
+    joint_bytes = 16 * basis.size**4
+    assert basis.size == 35
+    run_protocol(rho, V, basis)  # warm the per-sector caches
+    tracemalloc.start()
+    try:
+        js = run_protocol(rho, V, basis)
+        verify_maximally_correlated(js)
+        entanglement_maxcorr(js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * joint_bytes, peak / joint_bytes
+
+
+def _full_check_entanglement(js, tol=1e-10):
+    """entanglement_maxcorr with every check on the whole joint, as dense
+    arrays.  Returns (value, None) or (None, error)."""
+    worst = _mask_worst(js)
+    if not worst <= tol:
+        return None, NotMaxCorrelated(f"off-pattern magnitude {worst:.3e} exceeds {tol:.0e}")
+    M = js.matrix
+    defect = np.abs(M - M.conj().T).max()
+    if defect > 1e-12:
+        return None, InvalidState(f"not Hermitian: defect {defect:.3e} > 1e-12")
+    tr = np.trace(M)
+    if abs(tr - 1.0) > 1e-12:
+        return None, InvalidState(f"trace {tr} differs from 1 beyond 1e-12")
+    idx = np.arange(js.system_dim) * (js.system_dim + 1)
+    B = M[np.ix_(idx, idx)]
+    return (von_neumann_entropy(partial_trace(js, Subsystem.SYSTEM))
+            - shannon_entropy(np.linalg.eigvalsh((B + B.conj().T) / 2))), None
+
+
+def _perturb(M, D, case, rng):
+    """Edits of a protocol output that land on either side of each check."""
+    idx = np.arange(D) * (D + 1)
+    a, b = idx[0], idx[1]          # a pattern pair
+    u, v = a + 1, b + 2            # an off-pattern pair, u != v
+    if case == "pattern non-Hermitian":
+        M[a, b] += 1e-9j
+    elif case == "pattern Hermitian noise":
+        M[a, b] += 3e-13
+        M[b, a] += 3e-13
+    elif case == "off-pattern antisymmetric 1e-11":
+        M[u, v] += 1e-11
+        M[v, u] -= 1e-11
+    elif case == "off-pattern antisymmetric 2e-13":
+        M[u, v] += 2e-13
+        M[v, u] -= 2e-13
+    elif case == "off-pattern Hermitian 5e-11":
+        M[u, v] += 5e-11j
+        M[v, u] -= 5e-11j
+    elif case == "off-pattern above tol":
+        M[u, v] += 2e-10
+    elif case == "trace of the block":
+        M[a, a] += 5e-12
+    elif case == "trace off the pattern":
+        # up to 20 diagonal entries of 2e-13 each (6 at D = 3): each below
+        # HERM_TOL / 4, together beyond TRACE_TOL, which the block's trace misses
+        off_diag = np.setdiff1d(np.arange(D * D), idx)[:20]
+        M[off_diag, off_diag] += 2e-13
+    elif case == "random Hermitian noise 1e-14":
+        E = 1e-14 * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+        M += (E + E.conj().T) / 2
+    return M
+
+
+PERTURBATIONS = ["none", "pattern non-Hermitian", "pattern Hermitian noise",
+                 "off-pattern antisymmetric 1e-11", "off-pattern antisymmetric 2e-13",
+                 "off-pattern Hermitian 5e-11", "off-pattern above tol",
+                 "trace of the block", "trace off the pattern",
+                 "random Hermitian noise 1e-14"]
+
+
+@pytest.mark.parametrize("case", PERTURBATIONS)
+@pytest.mark.parametrize("d,n,stats", PIN_SECTORS[2:])
+def test_entanglement_matches_the_full_joint_checks(d, n, stats, case):
+    basis, rho, V = _pin_input(d, n, stats, "mixed")
+    D = basis.size
+    js = run_protocol(rho, V, basis)
+    M = _perturb(js.matrix.copy(), D, case, np.random.default_rng([d, n]))
+    perturbed = JointState(D, D, M)
+    expected, error = _full_check_entanglement(perturbed)
+    if error is None:
+        assert entanglement_maxcorr(perturbed) == expected
+    else:
+        with pytest.raises(type(error)) as exc:
+            entanglement_maxcorr(perturbed)
+        assert str(exc.value) == str(error)
+
+
+def test_nan_off_the_pattern_fails_verification():
+    basis, rho, V = _pin_input(3, 2, Statistics.FERMIONIC, "mixed")
+    js = run_protocol(rho, V, basis)
+    for row, col in [(1, 0), (0, 1), (8, 5)]:  # off-pattern, in different slabs
+        M = js.matrix.copy()
+        M[row, col] = np.nan
+        ok, worst = verify_maximally_correlated(JointState(3, 3, M))
+        assert not ok and math.isnan(worst)
+        with pytest.raises(NotMaxCorrelated, match="nan"):
+            entanglement_maxcorr(JointState(3, 3, M))
+
+
+def test_non_finite_pattern_entry_is_an_invalid_state():
+    # the pattern check ignores pattern entries; the density-matrix check
+    # then rejects a non-finite one instead of taking its entropy
+    basis, rho, V = _pin_input(3, 2, Statistics.FERMIONIC, "mixed")
+    M = run_protocol(rho, V, basis).matrix.copy()
+    M[4, 8] = np.nan
+    assert verify_maximally_correlated(JointState(3, 3, M)) == (True, 0.0)
+    with pytest.raises(InvalidState, match=r"non-finite entry .* at \(1, 2\)"):
+        entanglement_maxcorr(JointState(3, 3, M))

@@ -174,6 +174,25 @@ def test_malformed_state_file_exit_2(tmp_path):
     assert "line 5" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["quantumness", "activate", "classify"])
+def test_non_finite_amplitude_exit_2(tmp_path, command):
+    p = tmp_path / "nan.txt"
+    p.write_text("d 2\nn 1\nstatistics fermionic\nrepresentation pure\n"
+                 "0 nan 0.0\n1 1.0 0.0\n")
+    r = run_cli(command, str(p))
+    assert r.returncode == 2
+    assert "line 5" in r.stderr and "non-finite" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_activate_rejects_non_finite_v_exit_2(psi_b_file, tmp_path):
+    vfile = tmp_path / "v.txt"
+    vfile.write_text("1.0 0.0 0.0 0.0\n0.0 0.0 inf 0.0\n")
+    r = run_cli("activate", psi_b_file, "--v-matrix", str(vfile))
+    assert r.returncode == 2
+    assert "non-finite" in r.stderr
+
+
 def test_invalid_option_exit_2(psi_b_file):
     r = run_cli("quantumness", psi_b_file, "--restarts", "0")
     assert r.returncode == 2

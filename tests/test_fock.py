@@ -147,6 +147,17 @@ def test_check_density_matrix():
         check_density_matrix(np.diag([1.1, -0.1]))  # negativity
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_check_density_matrix_rejects_non_finite_entries(bad):
+    # NaN fails every `defect > tol` comparison, so it must be caught first
+    with pytest.raises(InvalidState, match=r"non-finite entry .* at \(0, 0\)"):
+        check_density_matrix(np.full((2, 2), bad))
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[1, 0] = bad
+    with pytest.raises(InvalidState, match=r"at \(1, 0\)"):
+        check_density_matrix(rho)
+
+
 def test_check_density_matrix_returns_the_spectrum_it_tests():
     rho = random_density(5, np.random.default_rng(5))
     evals = check_density_matrix(rho, dim=5)

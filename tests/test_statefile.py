@@ -118,6 +118,17 @@ def test_error_positions():
     assert "oops" in str(exc.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "NaN"])
+@pytest.mark.parametrize("representation,row,column", [("pure", "0 1.0 {}", 7),
+                                                       ("mixed", "0 0 {} 0.0", 5)])
+def test_non_finite_floats_rejected_with_position(token, representation, row, column):
+    text = (f"d 2\nn 1\nstatistics fermionic\nrepresentation {representation}\n"
+            + row.format(token) + "\n")
+    with pytest.raises(StateFileError, match="non-finite") as exc:
+        parse_state_text(text)
+    assert (exc.value.line, exc.value.column) == (5, column)
+
+
 def test_fermionic_double_occupation_rejected():
     text = "d 3\nn 2\nstatistics fermionic\nrepresentation pure\n1,1 1.0 0.0\n"
     with pytest.raises(StateFileError, match="strictly increasing"):
