@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import schur
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpec
 from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis
 
 
@@ -51,24 +51,36 @@ def _log_unitary(V: np.ndarray) -> np.ndarray:
     return (H + H.conj().T) / 2
 
 
+def _log_unitaries(V: np.ndarray) -> np.ndarray:
+    """`_log_unitary` of each of a stack (m, d, d) of Haar unitaries, from a
+    batched eig.  Their eigenvalues are distinct almost surely, so the
+    eigenvectors are well conditioned; a degenerate V needs the Schur form."""
+    w, P = np.linalg.eig(V)
+    H = (P * np.angle(w)[:, None, :]) @ np.linalg.inv(P)
+    return (H + H.conj().swapaxes(1, 2)) / 2
+
+
 def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Second-quantized one-body operator dGamma(M) = sum_ij M_ij a+_i a_j on
-    the n-sector.
+    the n-sector; M may be a stack (..., d, d), giving (..., D, D).
 
     Hermitian for Hermitian M; its eigenvalues are sums of n eigenvalues of M
     (with repetition rules set by the statistics).
     """
     M = np.asarray(M, dtype=complex)
-    if M.shape != (basis.d, basis.d):
-        raise DimensionMismatch(f"M has shape {M.shape}, basis has d={basis.d}")
-    E = _hopping(basis.d, basis.n, basis.statistics)
-    return (M.reshape(-1) @ E.reshape(M.size, -1)).reshape(E.shape[2:])
+    d = basis.d
+    if M.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"M has shape {M.shape}, basis has d={d}")
+    E = _hopping(d, basis.n, basis.statistics)
+    lead = M.shape[:-2]
+    return (M.reshape(*lead, d * d) @ E.reshape(d * d, -1)).reshape(*lead, *E.shape[2:])
 
 
 def lift_generator(H: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Gamma(exp(iH)) = exp(i dGamma(H)) for a Hermitian d x d generator H."""
+    """Gamma(exp(iH)) = exp(i dGamma(H)) for a Hermitian d x d generator H, or
+    for each of a stack (..., d, d) of them."""
     w, U = np.linalg.eigh(lift_observable(H, basis))
-    return (U * np.exp(1j * w)) @ U.conj().T
+    return (U * np.exp(1j * w)[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -77,22 +89,34 @@ def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     <l|Gamma(V)|k> = det V[l, k] for fermions, per V[l, k] normalized by
     sqrt(prod m_i(l)! prod m_j(k)!) for bosons, submatrices with rows/columns
     repeated by multiplicity; evaluated as exp(i dGamma(-i log V)).  V must
-    be unitary: the logarithm keeps only the phases of its eigenvalues.
+    be unitary within 1e-10 (InvalidSpec otherwise): the logarithm keeps only
+    the phases of its eigenvalues, so any other V would lift as a different
+    matrix.
     """
     V = np.asarray(V, dtype=complex)
     if V.shape != (basis.d, basis.d):
         raise DimensionMismatch(
             f"V has shape {V.shape}, basis has d={basis.d}"
         )
+    if not np.abs(V @ V.conj().T - np.eye(basis.d)).max() <= 1e-10:
+        raise InvalidSpec("V is not unitary within 1e-10")
     return lift_generator(_log_unitary(V), basis)
+
+
+def _haar_stack(d: int, rng: np.random.Generator, m: int) -> np.ndarray:
+    """m Haar-distributed d x d unitaries, shape (m, d, d): QR of complex
+    Ginibre matrices with the R diagonals phase-fixed (Mezzadri, Notices AMS
+    54, 592 (2007)).  Sample k takes the real then the imaginary part of its
+    Ginibre matrix from the normal stream, so m draws here equal m draws of
+    one sample each."""
+    Z = rng.standard_normal((m, 2, d, d))
+    Q, R = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])
+    phases = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (phases / np.abs(phases))[:, None, :]
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: QR of a complex Ginibre matrix with the
     R diagonal phase-fixed.  `seed` is an integer or a numpy Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(Z)
-    phases = np.diag(R).copy()
-    phases /= np.abs(phases)
-    return Q * phases
+    return _haar_stack(d, rng, 1)[0]

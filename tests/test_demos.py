@@ -1,5 +1,4 @@
-"""The narrative demos run end to end.  `sampling_convergence.py` is left out:
-it takes about 40 s."""
+"""The narrative demos run end to end."""
 import os
 import subprocess
 import sys
@@ -10,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["worked_example.py", "hierarchy_tour.py"])
+@pytest.mark.parametrize("demo", ["worked_example.py", "hierarchy_tour.py",
+                                  "sampling_convergence.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

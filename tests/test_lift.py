@@ -7,15 +7,22 @@ from scipy.linalg import expm
 
 from qcorr import (
     DimensionMismatch,
+    InvalidSpec,
     Statistics,
+    build_family,
     enumerate_basis,
     haar_random_unitary,
+    lift_generator,
     lift_observable,
     lift_unitary,
+    max_corr_coefficients,
+    projected_entropy,
+    run_protocol,
     slater_state,
 )
+from qcorr.lift import _haar_stack
 
-from helpers import plus_minus_rotation, reference_lift
+from helpers import plus_minus_rotation, random_density, reference_lift
 
 SECTORS = [(2, 2, Statistics.BOSONIC), (3, 2, Statistics.BOSONIC),
            (3, 2, Statistics.FERMIONIC), (4, 2, Statistics.FERMIONIC),
@@ -98,6 +105,46 @@ def test_lift_dimension_mismatch():
         lift_unitary(np.eye(2), basis)
 
 
+# every public route from a caller's V to a lift, as f(rho, V, basis)
+LIFT_ENTRIES = {
+    "lift_unitary": lambda rho, V, basis: lift_unitary(V, basis),
+    "build_family": lambda rho, V, basis: build_family(V, basis),
+    "projected_entropy": projected_entropy,
+    "run_protocol": run_protocol,
+    "max_corr_coefficients": max_corr_coefficients,
+}
+
+
+@pytest.mark.parametrize("entry", LIFT_ENTRIES)
+def test_lift_rejects_non_unitary_v(entry):
+    # the logarithm keeps only eigenphases: diag(1, 2) would lift as the identity
+    basis = enumerate_basis(2, 2, Statistics.BOSONIC)
+    rho = random_density(basis.size, np.random.default_rng(6))
+    for V in (np.diag([1.0, 2.0]), np.full((2, 2), np.nan)):
+        with pytest.raises(InvalidSpec):
+            LIFT_ENTRIES[entry](rho, V, basis)
+
+
+def test_lift_accepts_rounding_off_unitarity():
+    basis = enumerate_basis(3, 2, Statistics.BOSONIC)
+    V = haar_random_unitary(3, np.random.default_rng(12))
+    W = V * (1 + 1e-11)
+    assert_allclose(lift_unitary(W, basis), lift_unitary(V, basis), atol=1e-10)
+
+
+def test_lift_of_a_stack_is_the_stack_of_lifts():
+    rng = np.random.default_rng(13)
+    for d, n, stats in SECTORS:
+        basis = enumerate_basis(d, n, stats)
+        A = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        H = (A + A.conj().swapaxes(1, 2)) / 2
+        obs, gens = lift_observable(H, basis), lift_generator(H, basis)
+        assert obs.shape == gens.shape == (4, basis.size, basis.size)
+        for k in range(4):
+            assert_allclose(obs[k], lift_observable(H[k], basis), atol=1e-13)
+            assert_allclose(gens[k], lift_generator(H[k], basis), atol=1e-12)
+
+
 def test_lift_observable_number_operator():
     for d, n, stats in SECTORS[:4]:
         basis = enumerate_basis(d, n, stats)
@@ -162,3 +209,11 @@ def test_haar_first_entry_moment():
     rng = np.random.default_rng(314)
     vals = [abs(haar_random_unitary(2, rng)[0, 0]) ** 2 for _ in range(1000)]
     assert abs(np.mean(vals) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_haar_draws_are_the_slices_of_one_stack_draw(d):
+    one, stacked = np.random.default_rng(15), np.random.default_rng(15)
+    singles = np.array([haar_random_unitary(d, one) for _ in range(7)])
+    assert np.array_equal(singles, _haar_stack(d, stacked, 7))
+    assert one.bit_generator.state == stacked.bit_generator.state

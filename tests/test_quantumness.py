@@ -34,6 +34,8 @@ from qcorr import (
     von_neumann_entropy,
 )
 
+from qcorr.correlations import _oracle_chunk
+
 from helpers import (
     count_eigvalsh,
     plus_minus_rotation,
@@ -126,6 +128,14 @@ def test_relative_entropy_validates_first_argument():
         relative_entropy(np.diag([0.5, 0.6]), sigma)
     with pytest.raises(InvalidState):
         relative_entropy(np.diag([1.1, -0.1]), sigma)
+
+
+def test_relative_entropy_validates_second_argument():
+    rho = np.eye(2, dtype=complex) / 2
+    with pytest.raises(InvalidState):
+        relative_entropy(rho, np.full((2, 2), np.nan))
+    with pytest.raises(InvalidState):
+        relative_entropy(rho, np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
 def test_relative_entropy_pinching_identity():
@@ -243,6 +253,40 @@ def test_oracle_finds_identity_for_fock_diagonal():
     rho = np.outer(pure, pure.conj())
     # lifted Fock states have zero disturbance in many bases; samples find it fast
     assert quantumness_oracle(rho, basis, 200, seed=3) <= 0.05
+
+
+ORACLE_SECTORS = [(2, 2, Statistics.FERMIONIC), (2, 2, Statistics.BOSONIC),
+                  (3, 2, Statistics.FERMIONIC), (3, 3, Statistics.BOSONIC),
+                  (6, 3, Statistics.FERMIONIC), (4, 4, Statistics.BOSONIC)]
+
+
+@pytest.mark.parametrize("d,n,stats", [
+    pytest.param(d, n, stats, id=f"{d}-{n}-{stats.value[0].upper()}")
+    for d, n, stats in ORACLE_SECTORS])
+def test_oracle_matches_the_per_sample_loop(d, n, stats):
+    # referee: one Haar draw and one single-V lift per sample; the best value
+    # after k draws is the running minimum of the loop's first k values
+    basis = enumerate_basis(d, n, stats)
+    rho = random_density(basis.size, np.random.default_rng(31))
+    chunk = _oracle_chunk(basis)
+    rng = np.random.default_rng(5)
+    running = np.minimum.accumulate(
+        [projected_entropy(rho, haar_random_unitary(d, rng), basis) for _ in range(chunk + 1)]
+    ) - von_neumann_entropy(rho)
+    for samples in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
+        value = quantumness_oracle(rho, basis, samples, seed=5)
+        assert abs(value - running[samples - 1]) <= 1e-12, samples
+
+
+def test_oracle_advances_a_generator_as_the_loop_does():
+    basis = enumerate_basis(3, 2, Statistics.BOSONIC)
+    rho = random_density(basis.size, np.random.default_rng(32))
+    samples = _oracle_chunk(basis) + 1  # a full chunk and a partial one
+    oracle_rng, loop_rng = np.random.default_rng(33), np.random.default_rng(33)
+    quantumness_oracle(rho, basis, samples, seed=oracle_rng)
+    for _ in range(samples):
+        haar_random_unitary(3, loop_rng)
+    assert oracle_rng.standard_normal() == loop_rng.standard_normal()
 
 
 # ---------- geometric route ----------
