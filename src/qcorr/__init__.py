@@ -7,9 +7,7 @@ measurement disturbance over the single-particle unitary group.
 
 from .activation import (
     JointState,
-    MaxCorrCoefficients,
     Subsystem,
-    coupling_unitary,
     entanglement_maxcorr,
     max_corr_coefficients,
     partial_trace,

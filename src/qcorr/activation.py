@@ -35,34 +35,9 @@ class JointState:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class MaxCorrCoefficients:
-    """chi[l, l'] = <l| Gamma(V) rho Gamma(V)+ |l'> — the coefficient matrix of
-    the protocol output on the (l, l) -> (l', l') pattern."""
-
-    chi: np.ndarray
-
-
 class Subsystem(Enum):
     SYSTEM = "system"
     APPARATUS = "apparatus"
-
-
-def _shift_index(D: int) -> np.ndarray:
-    """The coupling as an index map: pi(s*D + j) = s*D + (j + s) mod D."""
-    s, j = np.divmod(np.arange(D * D), D)
-    return s * D + (j + s) % D
-
-
-def coupling_unitary(D: int) -> np.ndarray:
-    """Permutation matrix U|s>|j> = |s>|j + s mod D> on the D*D joint space,
-    i.e. U[pi(k), k] = 1 for the shift index pi.  `run_protocol` applies the
-    same pi as an index relabelling and never forms this matrix."""
-    if D < 1:
-        raise DimensionMismatch(f"need D >= 1, got {D}")
-    U = np.zeros((D * D, D * D))
-    U[_shift_index(D), np.arange(D * D)] = 1.0
-    return U
 
 
 def _pattern_index(D: int) -> np.ndarray:
@@ -74,8 +49,9 @@ def run_protocol(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> JointState
     """U [ (Gamma(V) rho Gamma(V)+) (x) |0><0| ] U+ with the cyclic coupling.
 
     The apparatus has the same dimension as the system and starts in its first
-    basis state.  U is a permutation, so U K U+ is K with its rows and columns
-    relabelled through the shift index: joint[pi(a), pi(b)] = K[a, b].  K is
+    basis state.  U|s>|j> = |s>|j + s mod D> is a permutation, so U K U+ is K
+    with its rows and columns relabelled through the shift index
+    pi(s*D + j) = s*D + (j + s) mod D: joint[pi(a), pi(b)] = K[a, b].  K is
     nonzero only on the rows and columns s*D, and pi(s*D) = s*D + s, so the
     joint is zero except for the rotated state written on the pattern
     span{|s, s>}; neither K nor any other D^2 x D^2 temporary is formed, and
@@ -98,15 +74,17 @@ def run_protocol(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> JointState
     return JointState(system_dim=D, apparatus_dim=D, matrix=joint)
 
 
-def max_corr_coefficients(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> MaxCorrCoefficients:
-    """The rotated system state in the Fock basis — computed directly, without
+def max_corr_coefficients(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """chi[l, l'] = <l| Gamma(V) rho Gamma(V)+ |l'>, the D x D coefficient
+    matrix of the protocol output on the (l, l) -> (l', l') pattern: the
+    rotated system state in the Fock basis, computed directly, without
     running the protocol."""
     rho = np.asarray(rho, dtype=complex)
     D = basis.size
     if rho.shape != (D, D):
         raise DimensionMismatch(f"state shape {rho.shape} vs basis size {D}")
     G = lift_unitary(V, basis)
-    return MaxCorrCoefficients(chi=G @ rho @ G.conj().T)
+    return G @ rho @ G.conj().T
 
 
 def verify_maximally_correlated(js: JointState, tol: float = 1e-10) -> tuple[bool, float]:

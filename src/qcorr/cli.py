@@ -189,7 +189,7 @@ def cmd_activate(args) -> int:
     js = run_protocol(rho, V, basis)
     ok, worst = verify_maximally_correlated(js)
     ent = entanglement_maxcorr(js)
-    chi = max_corr_coefficients(rho, V, basis).chi
+    chi = max_corr_coefficients(rho, V, basis)
     sys_spec = np.linalg.eigvalsh(partial_trace(js, Subsystem.SYSTEM))
     app_spec = np.linalg.eigvalsh(partial_trace(js, Subsystem.APPARATUS))
 

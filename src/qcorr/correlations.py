@@ -40,7 +40,8 @@ def shannon_entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats; entries below 1e-12 contribute zero."""
     p = np.asarray(p, dtype=float)
     p = p[p > _EIG_CUT]
-    return float(-(p * np.log(p)).sum()) if p.size else 0.0
+    # 0.0 - x, not -x, so that a point mass gives 0.0 and not -0.0
+    return float(0.0 - (p * np.log(p)).sum())
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -100,6 +101,18 @@ def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
     return (R + R.conj().T) / 2
 
 
+def _natural_orbitals(rho: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending occupations of the natural orbitals (the eigenvalues of the
+    one-particle reduced density matrix R) and the rotation onto them.
+
+    R transforms as R -> conj(V) R V^T under rho -> Gamma(V) rho Gamma(V)+, so
+    for eigenvectors W of R it is W^T (not W+) that lands on the
+    natural-orbital basis.
+    """
+    occupations, W = np.linalg.eigh(one_particle_rdm(rho, basis))
+    return occupations, W.T
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multistart local search over the single-particle unitary group.
@@ -121,7 +134,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1 or self.tol <= 0:
+        # written so that a NaN fails it, since every comparison with NaN is False
+        if not (self.restarts >= 1 and self.max_iterations >= 1 and self.tol > 0):
             raise InvalidSpec("restarts, max_iterations and tol must be positive")
 
 
@@ -287,7 +301,7 @@ def _scan(objective, basis: FockBasis, V: np.ndarray):
     return best, arg
 
 
-def _minimize_over_group(objective, basis: FockBasis, warm_unitaries, cfg: OptimizerConfig,
+def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: OptimizerConfig,
                          gradient=None):
     """Shared multistart driver: returns (best value, best V, the value of
     every descent in order).
@@ -296,7 +310,7 @@ def _minimize_over_group(objective, basis: FockBasis, warm_unitaries, cfg: Optim
     must be unchanged by V -> D V for diagonal unitary D, and nonnegative.
     gradient(V, G) returns its derivative coordinates along V -> exp(itX) V;
     without one, central differences along the unit generators stand in.
-    Descents start at the warm unitaries, then at Haar samples from
+    Descents start at `start`, then at Haar samples from
     cfg.seed, DESCENTS_PER_RESTART * cfg.restarts in all, and stop once one
     reaches cfg.tol.  A point where some outcome probability vanishes is a
     local trap for -p log p, so the search then scans plane rotations around
@@ -317,8 +331,7 @@ def _minimize_over_group(objective, basis: FockBasis, warm_unitaries, cfg: Optim
             best, best_v = value, V
 
     for k in range(budget):
-        descend(warm_unitaries[k] if k < len(warm_unitaries)
-                else haar_random_unitary(basis.d, rng))
+        descend(start if k == 0 else haar_random_unitary(basis.d, rng))
         if best <= cfg.tol:
             break
     for _ in range(budget):
@@ -381,11 +394,8 @@ def _quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig,
     def objective(V, G):
         return _outcome_entropy(G, rho) - s_rho
 
-    # R transforms as R -> conj(V) R V^T under rho -> Gamma(V) rho Gamma(V)+,
-    # so W^T (not W+) is the rotation that lands on the natural-orbital basis
-    W = np.linalg.eigh(one_particle_rdm(rho, basis))[1]
-    best, V, values = _minimize_over_group(objective, basis, [W.T], cfg,
-                                           gradient=_entropy_gradient(rho, basis))
+    best, V, values = _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1],
+                                           cfg, gradient=_entropy_gradient(rho, basis))
     q = best
     if -1e-9 < q < 0.0:
         q = 0.0
@@ -418,7 +428,7 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
         raise InvalidSpec(f"need at least one sample, got {samples}")
     rho = np.asarray(rho, dtype=complex)
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     chunk = _oracle_chunk(basis)
     best = math.inf
     for start in range(0, samples, chunk):
@@ -427,7 +437,7 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
         p = ((G @ rho) * G.conj()).sum(axis=2).real
         # the entropy of _outcome_entropy, row by row, with no log of a zero
         keep = p > _EIG_CUT
-        h = -(np.where(keep, p, 0.0) * np.log(np.where(keep, p, 1.0))).sum(axis=1)
+        h = 0.0 - (np.where(keep, p, 0.0) * np.log(np.where(keep, p, 1.0))).sum(axis=1)
         best = min(best, h.min())
     return float(best - s_rho)
 
@@ -450,8 +460,7 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
         sigma = dephase(rho, MeasurementFamily(V.conj().T, basis, G.conj().T))
         return _relative_entropy(rho, sigma, s_rho)
 
-    W = np.linalg.eigh(one_particle_rdm(rho, basis))[1]
-    best, _, _ = _minimize_over_group(objective, basis, [W.T], cfg)
+    best, _, _ = _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)
     if -1e-9 < best < 0.0:
         best = 0.0
     return float(best)
@@ -471,7 +480,7 @@ def make_classical_state(spec: ClassicalStateSpec, basis: FockBasis) -> np.ndarr
     """Gamma(V) (sum_k p_k |k><k|) Gamma(V)+ — quantumness zero by construction."""
     p = np.asarray(spec.probabilities, dtype=float)
     support = [tuple(s) for s in spec.support]
-    if p.ndim != 1 or len(support) != p.size:
+    if p.ndim != 1 or p.size == 0 or len(support) != p.size:
         raise InvalidSpec("probabilities and support must have matching lengths")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
         raise InvalidSpec("probabilities must be a simplex point")
@@ -526,10 +535,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
     over the group minimizes the squared defect (the defect itself has a
     kink at its zero).
     """
-    R = one_particle_rdm(rho, basis)
-    evals, W = np.linalg.eigh(R)
-    # as in quantumness, W^T rotates rho into the natural-orbital basis
-    V = W.T
+    evals, V = _natural_orbitals(rho, basis)
     defect = _condensate_defect(rho, basis, lift_unitary(V, basis))
     if defect <= STRUCTURE_TOL ** 2:
         return True, math.sqrt(defect)
@@ -541,7 +547,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
     def objective(V, G):
         return _condensate_defect(rho, basis, G)
 
-    best, _, _ = _minimize_over_group(objective, basis, [V], cfg)
+    best, _, _ = _minimize_over_group(objective, basis, V, cfg)
     return best <= STRUCTURE_TOL ** 2, math.sqrt(min(defect, best))
 
 
@@ -611,14 +617,14 @@ def classify_report(rho: np.ndarray, basis: FockBasis,
 
     report = _quantumness(rho, basis, cfg, spectrum)
     rank = None
-    purity = float(np.trace(rho @ rho).real)
-    if basis.n == 2 and purity > 1.0 - 1e-10:
+    pure = (spectrum ** 2).sum() > 1.0 - 1e-10  # purity Tr(rho^2)
+    if basis.n == 2 and pure:
         psi = np.linalg.eigh(rho)[1][:, -1]
         rank = slater_rank_two_particle(psi, basis)
 
     if report.q_value <= Q_TOL:
         return ClassificationReport(Classification.NO_QUANTUMNESS_P, report.q_value, rank, defect)
-    if purity > 1.0 - 1e-10:
+    if pure:
         return ClassificationReport(Classification.CORRELATED_Q, report.q_value, rank, defect)
     return ClassificationReport(Classification.UNDECIDED, report.q_value, rank, defect)
 

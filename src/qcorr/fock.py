@@ -30,13 +30,6 @@ class Statistics(Enum):
     FERMIONIC = "fermionic"
     BOSONIC = "bosonic"
 
-    @classmethod
-    def from_string(cls, s: str) -> "Statistics":
-        try:
-            return cls(s.strip().lower())
-        except ValueError:
-            raise InvalidDimension(f"unknown statistics {s!r}") from None
-
 
 @dataclass(frozen=True)
 class FockBasis:

@@ -118,5 +118,4 @@ def _haar_stack(d: int, rng: np.random.Generator, m: int) -> np.ndarray:
 def haar_random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: QR of a complex Ginibre matrix with the
     R diagonal phase-fixed.  `seed` is an integer or a numpy Generator."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _haar_stack(d, rng, 1)[0]
+    return _haar_stack(d, np.random.default_rng(seed), 1)[0]

@@ -28,8 +28,6 @@ class MeasurementFamily:
 
 def build_family(V: np.ndarray, basis: FockBasis) -> MeasurementFamily:
     V = np.asarray(V, dtype=complex)
-    if V.shape != (basis.d, basis.d):
-        raise DimensionMismatch(f"V has shape {V.shape}, basis has d={basis.d}")
     return MeasurementFamily(V=V, basis=basis, rotation=lift_unitary(V, basis))
 
 

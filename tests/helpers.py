@@ -59,6 +59,16 @@ def reference_lift(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     return T.conj().T @ tensor_power(V, basis.n) @ T
 
 
+def coupling_unitary(D: int) -> np.ndarray:
+    """The activation coupling U|s>|j> = |s>|j + s mod D> on the D*D joint
+    space, built from its definition U = sum_s |s><s| (x) X^s with the cyclic
+    shift X|j> = |j + 1 mod D>: the dense referee of the protocol."""
+    ket = np.eye(D)
+    X = np.roll(ket, 1, axis=0)
+    return sum(np.kron(np.outer(ket[s], ket[s]), np.linalg.matrix_power(X, s))
+               for s in range(D))
+
+
 def random_density(D: int, rng, rank: int | None = None) -> np.ndarray:
     rank = D if rank is None else rank
     G = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))

@@ -20,7 +20,6 @@ from qcorr import (
     Statistics,
     Subsystem,
     build_family,
-    coupling_unitary,
     creation_matrix,
     dephase,
     enumerate_basis,
@@ -43,7 +42,7 @@ from qcorr import (
     write_state_text,
 )
 
-from helpers import random_density, random_pure
+from helpers import coupling_unitary, random_density, random_pure
 
 LN2 = math.log(2)
 
@@ -137,7 +136,7 @@ def test_criterion_03_activation_structure(capsys):
         joint = js.matrix.reshape(D, D, D, D)
         chi_from_joint = joint[np.arange(D)[:, None], np.arange(D)[:, None],
                                np.arange(D)[None, :], np.arange(D)[None, :]]
-        diff = np.abs(chi_from_joint - max_corr_coefficients(rho, V, basis).chi).max()
+        diff = np.abs(chi_from_joint - max_corr_coefficients(rho, V, basis)).max()
         worst_chi = max(worst_chi, diff)
         assert diff <= 1e-12, f"pair {i}: chi mismatch {diff:.3e}"
     ok = worst_pattern < 1e-12 and worst_chi <= 1e-12

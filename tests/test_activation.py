@@ -14,7 +14,6 @@ from qcorr import (
     NotMaxCorrelated,
     Statistics,
     Subsystem,
-    coupling_unitary,
     dephase,
     build_family,
     enumerate_basis,
@@ -30,7 +29,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from helpers import plus_minus_rotation, random_density, random_pure
+from helpers import coupling_unitary, plus_minus_rotation, random_density, random_pure
 
 
 def psi_b(basis):
@@ -123,7 +122,7 @@ def test_protocol_structure_random_inputs(d, n, stats):
         ok, worst = verify_maximally_correlated(js, tol=1e-12)
         assert ok, worst
         # reconstruction from the coefficient matrix
-        chi = max_corr_coefficients(rho, V, basis).chi
+        chi = max_corr_coefficients(rho, V, basis)
         rebuilt = np.zeros((D * D, D * D), dtype=complex)
         for l in range(D):
             for lp in range(D):
@@ -145,9 +144,9 @@ def test_max_corr_coefficients_identity_and_worked_example():
     basis = enumerate_basis(2, 2, Statistics.BOSONIC)
     rng = np.random.default_rng(2)
     rho = random_density(3, rng)
-    assert_allclose(max_corr_coefficients(rho, np.eye(2), basis).chi, rho, atol=1e-14)
+    assert_allclose(max_corr_coefficients(rho, np.eye(2), basis), rho, atol=1e-14)
     psi = psi_b(basis)
-    chi = max_corr_coefficients(np.outer(psi, psi.conj()), np.eye(2), basis).chi
+    chi = max_corr_coefficients(np.outer(psi, psi.conj()), np.eye(2), basis)
     expect = np.zeros((3, 3), dtype=complex)
     expect[0, 0] = expect[0, 2] = expect[2, 0] = expect[2, 2] = 0.5
     assert_allclose(chi, expect, atol=1e-14)
@@ -168,7 +167,7 @@ def test_verify_rejects_off_pattern_states():
 def test_hand_built_pattern_state_passes():
     basis = enumerate_basis(2, 2, Statistics.BOSONIC)
     psi = psi_b(basis)
-    chi = max_corr_coefficients(np.outer(psi, psi.conj()), np.eye(2), basis).chi
+    chi = max_corr_coefficients(np.outer(psi, psi.conj()), np.eye(2), basis)
     D = 3
     M = np.zeros((9, 9), dtype=complex)
     for l in range(D):

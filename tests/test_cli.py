@@ -88,6 +88,15 @@ def test_quantumness_on_worked_example(psi_b_file):
     assert "quantumness Q" in r.stderr
 
 
+def test_fock_state_entropy_is_positive_zero(tmp_path):
+    p = tmp_path / "fock.txt"
+    p.write_text("d 2\nn 2\nstatistics bosonic\nrepresentation pure\n0,1 1.0 0.0\n")
+    r = run_cli("quantumness", str(p), "--restarts", "1", "--machine")
+    assert r.returncode == 0, r.stderr
+    assert math.copysign(1.0, json.loads(r.stdout)["entropy"]) == 1.0
+    assert "S(rho) = 0.000000000000 nats" in r.stderr
+
+
 def test_quantumness_deterministic_per_seed(psi_b_file, tmp_path):
     args = ("quantumness", psi_b_file, "--restarts", "4", "--seed", "11", "--machine")
     a = run_cli(*args)
@@ -197,6 +206,12 @@ def test_invalid_option_exit_2(psi_b_file):
     r = run_cli("quantumness", psi_b_file, "--restarts", "0")
     assert r.returncode == 2
     assert "restarts" in r.stderr
+
+
+def test_nan_tol_exit_2(psi_b_file):
+    r = run_cli("quantumness", psi_b_file, "--tol", "nan", "--machine")
+    assert r.returncode == 2
+    assert "tol" in r.stderr and r.stdout == ""
 
 
 def test_missing_file_exit_2():

@@ -113,6 +113,12 @@ def test_shannon_entropy_cut():
     assert shannon_entropy(np.array([1.0, 1e-14, 0.0])) == 0.0
 
 
+def test_entropies_of_a_point_mass_are_positive_zero():
+    pure = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    for value in (shannon_entropy([1.0]), von_neumann_entropy(pure)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_relative_entropy_basics():
     rng = np.random.default_rng(0)
     rho = random_density(4, rng)
@@ -231,6 +237,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(InvalidSpec):
         OptimizerConfig(tol=0.0)
+    with pytest.raises(InvalidSpec):
+        OptimizerConfig(tol=float("nan"))
 
 
 # ---------- oracle ----------
@@ -352,6 +360,8 @@ def test_make_classical_state_validation():
     with pytest.raises(InvalidSpec):
         make_classical_state(ClassicalStateSpec(np.array([1.0]), np.eye(2),
                                                 ((0, 2),)), basis)
+    with pytest.raises(InvalidSpec):
+        make_classical_state(ClassicalStateSpec(np.array([]), np.eye(2), ()), basis)
 
 
 # ---------- slater rank ----------
