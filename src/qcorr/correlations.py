@@ -7,10 +7,10 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .lift import (
     _haar_stack,
     _hopping,
     _log_unitaries,
-    haar_random_unitary,
     lift_generator,
     lift_observable,
     lift_unitary,
@@ -28,8 +27,8 @@ from .lift import (
 from .measurement import MeasurementFamily, dephase
 
 _EIG_CUT = 1e-12
-# bytes of the largest stacked array of one quantumness_oracle chunk
-_ORACLE_CHUNK_BYTES = 2**18
+# bytes of the largest stacked array of a chunk of oracle draws, starts or scan points
+_STACK_BYTES = 2**18
 # classify_report: Q at or below Q_TOL is class P; a condensate-mixture
 # defect at or below STRUCTURE_TOL is class C
 Q_TOL = 1e-6
@@ -37,11 +36,10 @@ STRUCTURE_TOL = 1e-8
 
 
 def shannon_entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats; entries below 1e-12 contribute zero."""
+    """Shannon entropy in nats, never below +0.0; entries at or below 1e-12 contribute zero."""
     p = np.asarray(p, dtype=float)
     p = p[p > _EIG_CUT]
-    # 0.0 - x, not -x, so that a point mass gives 0.0 and not -0.0
-    return float(0.0 - (p * np.log(p)).sum())
+    return max(0.0, float(-(p * np.log(p)).sum()))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -60,29 +58,24 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise DimensionMismatch(f"shapes {rho.shape} vs {sigma.shape}")
     s_rho = shannon_entropy(check_density_matrix(rho))
     check_density_matrix(sigma)
-    return _relative_entropy(rho, sigma, s_rho)
+    return float(_relative_entropy(rho, sigma, s_rho))
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, s_rho: float) -> float:
-    """Body of `relative_entropy` for a checked rho whose entropy is s_rho."""
-    mu, U = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    weights = ((U.conj().T @ rho) * U.T).sum(axis=1).real
-    on_kernel = weights[mu <= _EIG_CUT].sum()
-    if on_kernel > 1e-10:
-        return math.inf
-    keep = mu > _EIG_CUT
-    cross = -(weights[keep] * np.log(mu[keep])).sum()
-    value = cross - s_rho
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    return float(value)
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, s_rho: float) -> np.ndarray:
+    """`relative_entropy` of a checked rho of entropy s_rho; sigma may be a stack."""
+    mu, U = np.linalg.eigh((sigma + sigma.conj().swapaxes(-1, -2)) / 2)
+    weights = ((U.conj().swapaxes(-1, -2) @ rho) * U.swapaxes(-1, -2)).sum(axis=-1).real
+    kernel = mu <= _EIG_CUT
+    cross = -(np.where(kernel, 0.0, weights) * np.log(np.where(kernel, 1.0, mu))).sum(axis=-1)
+    value = np.where((-1e-12 < cross - s_rho) & (cross < s_rho), 0.0, cross - s_rho)
+    return np.where(np.where(kernel, weights, 0.0).sum(axis=-1) > 1e-10, math.inf, value)
 
 
-def _outcome_entropy(G: np.ndarray, rho: np.ndarray) -> float:
-    """Shannon entropy of the Born distribution diag(G rho G+)."""
-    p = ((G @ rho) * G.conj()).sum(axis=1).real
-    np.clip(p, 0.0, None, out=p)
-    return shannon_entropy(p)
+def _outcome_entropy(G: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """`shannon_entropy` of diag(G rho G+) for a lifted rotation G or a stack of them."""
+    p = ((G @ rho) * G.conj()).sum(axis=-1).real
+    p = np.where(p > _EIG_CUT, p, 1.0)  # a cut entry adds 1 log 1 = 0, with no log of 0
+    return np.maximum(-(p * np.log(p)).sum(axis=-1), 0.0)
 
 
 def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float:
@@ -92,7 +85,7 @@ def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (basis.size, basis.size):
         raise DimensionMismatch(f"state shape {rho.shape} vs basis size {basis.size}")
-    return _outcome_entropy(lift_unitary(V, basis), rho)
+    return float(_outcome_entropy(lift_unitary(V, basis), rho))
 
 
 def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -135,8 +128,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # written so that a NaN fails it, since every comparison with NaN is False
-        if not (self.restarts >= 1 and self.max_iterations >= 1 and self.tol > 0):
-            raise InvalidSpec("restarts, max_iterations and tol must be positive")
+        if not (self.restarts >= 1 and self.max_iterations >= 1 and 0 < self.tol < math.inf and self.seed >= 0):
+            raise InvalidSpec("need restarts, max_iterations >= 1, 0 < tol < inf and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,7 @@ class QuantumnessReport:
 # d^2 - d off-diagonal Hermitian generators, in coordinates x with
 # X_ij = x[2k] + i x[2k+1] for the k-th pair i < j, row-major.
 DESCENTS_PER_RESTART = 4
+_WIDTH = 8  # descents in lockstep at most: a start joins as one leaves
 _MEMORY = 8
 _GRAD_TOL = 1e-9  # a descent stops once every gradient coordinate is below this
 _ARMIJO = 1e-4
@@ -168,6 +162,8 @@ _FD_STEP = 1e-5  # central differences for the objectives without a gradient
 # objective unchanged, so the angles cover (0, pi/2).
 _SCAN_PHASES = (1.0, (1 + 1j) / math.sqrt(2), 1j, (-1 + 1j) / math.sqrt(2))
 _SCAN_ANGLES = np.pi / 16 * np.arange(1, 8)
+_UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
+_PADS = np.array([np.diag(np.arange(_MEMORY) < _MEMORY - c) for c in range(_MEMORY + 1)], float)
 
 
 @lru_cache(maxsize=None)
@@ -175,129 +171,180 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, k=1)
 
 
-def _generator(x: np.ndarray, d: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _units(d: int) -> np.ndarray:
+    """Row k: the generator of unit coordinate k, flattened, so that the rows of
+    x @ _units(d) are the generators of coordinates x."""
     rows, cols = _pairs(d)
-    X = np.zeros((d, d), dtype=complex)
-    X[rows, cols] = x[0::2] + 1j * x[1::2]
-    X[cols, rows] = X[rows, cols].conj()
-    return X
+    X, k = np.zeros((rows.size, 2, d, d), dtype=complex), np.arange(rows.size)
+    X[k, :, rows, cols], X[k, :, cols, rows] = (1.0, 1j), (1.0, -1j)
+    return X.reshape(2 * rows.size, d * d)
 
 
-def _curves(X: np.ndarray, basis: FockBasis):
-    """The curves t -> (exp(itX) V, exp(it dGamma(X)) G) through points
-    (V, G = Gamma(V)).  One eigendecomposition of X and one of dGamma(X)
-    serve every point and every t."""
-    w, u = np.linalg.eigh(X)
-    W, U = np.linalg.eigh(lift_observable(X, basis))
-
-    def through(V, G):
-        uV, UG = u.conj().T @ V, U.conj().T @ G
-        return lambda t: ((u * np.exp(1j * t * w)) @ uV, (U * np.exp(1j * t * W)) @ UG)
-
-    return through
+def _stack_chunk(basis: FockBasis, points: int = 1) -> int:
+    """Stack entries of `points` complex max(d, D)^2 matrices within _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (16 * points * max(basis.d, basis.size) ** 2))
 
 
 @lru_cache(maxsize=None)
-def _planes(basis: FockBasis) -> tuple:
-    """`_curves` of the scan generators, plane by plane and _SCAN_PHASES
-    within a plane; every second one is a unit coordinate, in order."""
+def _planes(basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """Read-only stacked eigendecompositions (w, u) of the scan generators X and
+    (W, U) of dGamma(X), by plane then phase; every second X is a unit coordinate."""
     m = basis.d * basis.d - basis.d
-    planes = []
-    for k in range(m // 2):
-        for z in _SCAN_PHASES:
-            x = np.zeros(m)
-            x[2 * k], x[2 * k + 1] = z.real, z.imag
-            planes.append(_curves(_generator(x, basis.d), basis))
-    return tuple(planes)
+    x, k = np.zeros((m // 2, len(_SCAN_PHASES), m)), np.arange(m // 2)
+    x[k, :, 2 * k], x[k, :, 2 * k + 1] = np.real(_SCAN_PHASES), np.imag(_SCAN_PHASES)
+    X = (x.reshape(-1, m) @ _units(basis.d)).reshape(-1, basis.d, basis.d)
+    out = (*np.linalg.eigh(X), *np.linalg.eigh(lift_observable(X, basis)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _central_differences(objective, basis: FockBasis):
-    def gradient(V, G):
-        out = np.empty(basis.d * basis.d - basis.d)
-        for k, plane in enumerate(_planes(basis)[::2]):
-            at = plane(V, G)
-            out[k] = (objective(*at(_FD_STEP)) - objective(*at(-_FD_STEP))) / (2 * _FD_STEP)
-        return out
+    """Central differences of `objective` along the unit generators, one call per stack."""
+    w, u, W, U = (a[::2] for a in _planes(basis))
+    turns = 1j * np.array([_FD_STEP, -_FD_STEP])[:, None, None]
+    A, B = u * np.exp(turns * w)[..., None, :], U * np.exp(turns * W)[..., None, :]
+    uh, Uh = u.conj().swapaxes(1, 2), U.conj().swapaxes(1, 2)
+
+    def gradient(V, G):  # points (..., 2, d^2 - d, d, d): one axis for +-, one per coordinate
+        values = objective(A @ (uh @ V[..., None, :, :])[..., None, :, :, :],
+                           B @ (Uh @ G[..., None, :, :])[..., None, :, :, :])
+        return (values[..., 0, :] - values[..., 1, :]) / (2 * _FD_STEP)
 
     return gradient
 
 
-def _two_loop(g: np.ndarray, steps, changes) -> np.ndarray:
-    """L-BFGS inverse-Hessian estimate applied to g (two-loop recursion)."""
-    q = g.copy()
-    alphas = []
-    for s, y in zip(reversed(steps), reversed(changes)):
-        a = (s @ q) / (y @ s)
-        q -= a * y
-        alphas.append(a)
-    if steps:
-        q *= (steps[-1] @ changes[-1]) / (changes[-1] @ changes[-1])
-    for s, y, a in zip(steps, changes, reversed(alphas)):
-        q += (a - (y @ q) / (y @ s)) * s
-    return q
+def _direction(g: np.ndarray, mem: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The L-BFGS inverse-Hessian estimate (H0 = gamma I) times each row of g (k, n),
+    in the compact form of Byrd, Nocedal and Schnabel (Math. Program. 63, 129
+    (1994)): Hg = gamma (g - Y z) + S R^-T ((D + gamma Y^T Y) z - gamma Y^T g),
+    z = R^-1 S^T g, R = triu(S^T Y).  mem (k, _MEMORY, 2, n) holds a row's `count`
+    (step, gradient change) pairs, oldest first, after zero slots (unit R diagonal)."""
+    if not count.any():  # H = 1, as the full form gives too
+        return g
+    pairs = mem.reshape(len(g), 2 * _MEMORY, -1)
+    gram, proj = pairs @ pairs.swapaxes(1, 2), pairs @ g[:, :, None]
+    SY, YY = gram[:, 0::2, 1::2], gram[:, 1::2, 1::2]
+    pad = _PADS[count]  # a row with no pairs gets R = 1 and gamma = 1
+    R = SY * _UPPER + pad
+    gamma = R[:, -1:, -1:] / (YY[:, -1:, -1:] + pad[:, -1:, -1:])
+    R_inv = np.linalg.inv(R)
+    z = R_inv @ proj[:, 0::2]
+    inner = np.diagonal(SY, axis1=1, axis2=2)[:, :, None] * z + gamma * (YY @ z - proj[:, 1::2])
+    coef = np.concatenate((R_inv.swapaxes(1, 2) @ inner, -gamma * z), axis=2)
+    return gamma[:, 0] * g + (pairs.swapaxes(1, 2) @ coef.reshape(len(g), -1, 1))[:, :, 0]
 
 
 def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: OptimizerConfig):
-    """One L-BFGS descent from V with Armijo backtracking.  Stops when every
-    gradient coordinate is below _GRAD_TOL, when the value stops falling (a
-    full step is predicted to gain less than _ROUNDING of the value, or no
-    step lowers it even along -gradient), or after cfg.max_iterations
-    iterations.
-    Returns the final V and the objective there at a fresh lift."""
-    G = lift_unitary(V, basis)
-    value, g = objective(V, G), gradient(V, G)
-    steps, changes = deque(maxlen=_MEMORY), deque(maxlen=_MEMORY)
-    for _ in range(cfg.max_iterations):
-        if np.abs(g).max(initial=0.0) < _GRAD_TOL:
-            break
-        p = -_two_loop(g, steps, changes)
-        slope = g @ p
-        if slope >= 0.0:
-            steps.clear()
-            changes.clear()
-            p, slope = -g, -(g @ g)
-        t = 1.0 if steps else min(1.0, _FIRST_STEP / np.abs(p).max())
-        if -t * slope <= _ROUNDING * abs(value):
-            break
-        at = _curves(_generator(p, basis.d), basis)(V, G)
-        for _ in range(_HALVINGS):
-            V_t, G_t = at(t)
+    """L-BFGS descents with Armijo backtracking from starts V (m, d, d), in lockstep
+    rounds of at most _WIDTH.  A descent stops when every gradient coordinate is
+    below _GRAD_TOL, when its value stops falling (a full step would gain less
+    than _ROUNDING of it, or _HALVINGS halvings fail even along -gradient), or
+    after cfg.max_iterations iterations.  Halvings run in batches of 3, 12 and 4
+    steps, and each descent takes its first accepted one.  Values only fall, so
+    one at or below cfg.tol drops every later start.  Returns the final V and
+    values of the starts up to that one (all if none)."""
+    m, n = len(V), basis.d * basis.d - basis.d
+    out_V, out, closer, joined, live = V.copy(), np.zeros(m), m, 0, None
+
+    def join():  # the next starts join the running descents, a row each, up to _WIDTH rows
+        nonlocal live, joined
+        k = np.arange(joined, min(joined + _WIDTH - (live.order.size if live else 0), closer + 1, m))
+        # a unit axis per row keeps each row's products, so its rounding, the same in any stack
+        G = lift_generator(_log_unitaries(V[k])[:, None], basis)[:, 0]
+        rows = dict(order=k, V=V[k], G=G, value=objective(V[k], G), g=gradient(V[k], G),
+                    mem=np.zeros((k.size, _MEMORY, 2, n)), count=np.zeros(k.size, int),
+                    iters=np.zeros(k.size, int))
+        if live:
+            rows = {key: np.concatenate((a, rows[key])) for key, a in vars(live).items()}
+        live, joined = SimpleNamespace(**rows), k[-1] + 1
+
+    def leave(mask):
+        k = live.order[mask]
+        out_V[k], out[k] = live.V[mask], live.value[mask]
+        vars(live).update({key: a[~mask] for key, a in vars(live).items()})
+
+    join()
+    while live.order.size:
+        g = live.g
+        p = -_direction(g, live.mem, live.count)
+        slope = (g * p).sum(axis=1)
+        uphill = slope >= 0.0
+        if uphill.any():  # forget the memory and go along -gradient
+            live.mem[uphill], live.count[uphill] = 0.0, 0
+            p[uphill], slope[uphill] = -g[uphill], -(g[uphill] ** 2).sum(axis=1)
+        t = np.where(live.count > 0, 1.0, _FIRST_STEP / np.maximum(np.abs(p).max(axis=1), _FIRST_STEP))
+        # a descent at or below tol ends there: drop the later ones
+        closer = live.order[live.value <= cfg.tol].min(initial=closer)
+        done = ((live.order > closer) | (live.iters >= cfg.max_iterations)
+                | (np.abs(g).max(axis=1, initial=0.0) < _GRAD_TOL)
+                | (-t * slope <= _ROUNDING * np.abs(live.value)))
+        if done.any():
+            leave(done)
+            p, t, slope = p[~done], t[~done], slope[~done]
+        if live.order.size:
+            live.iters += 1
+            X = (p @ _units(basis.d)).reshape(-1, basis.d, basis.d)
+            w, u = np.linalg.eigh(X)
+            W, U = np.linalg.eigh(lift_observable(X[:, None], basis)[:, 0])
+            uV, UG = u.conj().swapaxes(1, 2) @ live.V, U.conj().swapaxes(1, 2) @ live.G
+            turn = 1j * t[:, None]
+            V_t, G_t = (u * np.exp(turn * w)[:, None, :]) @ uV, (U * np.exp(turn * W)[:, None, :]) @ UG
             trial = objective(V_t, G_t)
-            if trial <= value + _ARMIJO * t * slope:
-                break
-            t /= 2
-        else:
-            if not steps:
-                break
-            steps.clear()  # retry along -gradient
-            changes.clear()
-            continue
-        g_t = gradient(V_t, G_t)
-        s, y = t * p, g_t - g
-        if s @ y > 0.0:
-            steps.append(s)
-            changes.append(y)
-        V, G, value, g = V_t, G_t, trial, g_t
-    return V, objective(V, lift_unitary(V, basis))
+            ok, tried = trial <= live.value + _ARMIJO * t * slope, 1
+            while tried < _HALVINGS and not ok.all():  # the halvings j of the rows k not yet accepted
+                k = np.flatnonzero(~ok) if ok.any() else slice(None)
+                j = np.arange(tried, min(4 * tried, _HALVINGS))
+                steps = t[k, None] / 2.0 ** j
+                turn = 1j * steps[..., None]
+                V_j = (u[k, None] * np.exp(turn * w[k, None])[..., None, :]) @ uV[k, None]
+                G_j = (U[k, None] * np.exp(turn * W[k, None])[..., None, :]) @ UG[k, None]
+                f = objective(V_j, G_j)
+                hit = f <= live.value[k, None] + _ARMIJO * steps * slope[k, None]
+                for i in np.flatnonzero(hit.any(axis=1)):  # the first accepted halving of row k[i]
+                    r, c = np.arange(len(t))[k][i], hit[i].argmax()
+                    V_t[r], G_t[r], trial[r], t[r], ok[r] = V_j[i, c], G_j[i, c], f[i, c], steps[i, c], True
+                tried = j[-1] + 1
+            if ok.any():
+                a = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice gives views
+                g_t = gradient(V_t[a], G_t[a])
+                s, y = t[a, None] * p[a], g_t - live.g[a]
+                live.V[a], live.G[a], live.value[a], live.g[a] = V_t[a], G_t[a], trial[a], g_t
+                keep = (s * y).sum(axis=1) > 0.0
+                if not keep.all():  # a row stores its pair only when s.y > 0
+                    a, s, y = np.flatnonzero(ok)[keep], s[keep], y[keep]
+                live.mem[a, :-1], live.mem[a, -1, 0], live.mem[a, -1, 1] = live.mem[a, 1:], s, y
+                live.count[a] = np.minimum(live.count[a] + 1, _MEMORY)
+            if not ok.all():  # no step lowered the value: retry along -gradient, or stop
+                stuck = ~ok & (live.count == 0)
+                live.mem[~ok], live.count[~ok] = 0.0, 0
+                leave(stuck)
+        if live.order.size < _WIDTH and joined <= min(closer, m - 1):
+            join()
+    return out_V[:closer + 1], out[:closer + 1]
 
 
 def _scan(objective, basis: FockBasis, V: np.ndarray):
     """Lowest objective over the plane rotations of V at _SCAN_PHASES and
-    _SCAN_ANGLES, and the rotation attaining it."""
+    _SCAN_ANGLES, evaluated a chunk of points at a time, and its rotation."""
     # The objective ignores the row phases of V, but the scan's generator
     # phases are relative to them: fix them (largest entry of each row real
     # positive) so that every point of V's torus orbit scans the same set.
     lead = V[np.arange(basis.d), np.abs(V).argmax(axis=1)]
     V = V * (lead.conj() / np.abs(lead))[:, None]
     G = lift_unitary(V, basis)
-    best, arg = math.inf, V
-    for plane in _planes(basis):
-        at = plane(V, G)
-        for theta in _SCAN_ANGLES:
-            V_t, G_t = at(theta)
-            value = objective(V_t, G_t)
-            if value < best:
-                best, arg = value, V_t
+    w, u, W, U = _planes(basis)
+    uV, UG = u.conj().swapaxes(1, 2) @ V, U.conj().swapaxes(1, 2) @ G
+    plane, angle = np.divmod(np.arange(len(u) * _SCAN_ANGLES.size), _SCAN_ANGLES.size)
+    best, arg, step = math.inf, V, _stack_chunk(basis)
+    for i in range(0, plane.size, step):
+        k, turn = plane[i:i + step], 1j * _SCAN_ANGLES[angle[i:i + step], None]
+        V_t = (u[k] * np.exp(turn * w[k])[:, None, :]) @ uV[k]
+        values = objective(V_t, (U[k] * np.exp(turn * W[k])[:, None, :]) @ UG[k])
+        j = np.argmin(values)
+        if values[j] < best:
+            best, arg = values[j], V_t[j]
     return best, arg
 
 
@@ -306,41 +353,41 @@ def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: Op
     """Shared multistart driver: returns (best value, best V, the value of
     every descent in order).
 
-    objective(V, G) takes a d x d unitary V and its lift G = Gamma(V); it
-    must be unchanged by V -> D V for diagonal unitary D, and nonnegative.
-    gradient(V, G) returns its derivative coordinates along V -> exp(itX) V;
-    without one, central differences along the unit generators stand in.
-    Descents start at `start`, then at Haar samples from
-    cfg.seed, DESCENTS_PER_RESTART * cfg.restarts in all, and stop once one
+    objective(V, G) takes unitaries V and lifts G = Gamma(V), or stacks of them
+    (..., d, d) and (..., D, D); it must be unchanged by V -> D V for diagonal
+    unitary D, and nonnegative.  gradient(V, G) returns its coordinates
+    (..., d^2 - d) along V -> exp(itX) V (central differences by default).
+    One descent starts at `start`, then DESCENTS_PER_RESTART * cfg.restarts - 1
+    at Haar samples from cfg.seed, in chunks within _STACK_BYTES, until one
     reaches cfg.tol.  A point where some outcome probability vanishes is a
     local trap for -p log p, so the search then scans plane rotations around
-    the best point and descends again from the lowest scanned point while
-    it beats the best by more than cfg.tol, at most once per start.
+    the best point and descends again from the lowest scanned point while it
+    beats the best by more than cfg.tol, at most once per start.
     """
-    if gradient is None:
-        gradient = _central_differences(objective, basis)
-    rng = np.random.default_rng(cfg.seed)
+    chunk = _stack_chunk(basis, 1 if gradient else 2 * (basis.d * basis.d - basis.d))
+    gradient = gradient or _central_differences(objective, basis)
     budget = DESCENTS_PER_RESTART * cfg.restarts
-    best, best_v, values = math.inf, None, []
-
-    def descend(V0):
-        nonlocal best, best_v
-        V, value = _descend(objective, gradient, basis, V0, cfg)
-        values.append(value)
-        if value < best:
-            best, best_v = value, V
-
-    for k in range(budget):
-        descend(start if k == 0 else haar_random_unitary(basis.d, rng))
-        if best <= cfg.tol:
-            break
+    V, values = _descend(objective, gradient, basis, start[None], cfg)
+    if values[-1] > cfg.tol:
+        starts = _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)
+        for i in range(0, budget - 1, chunk):
+            V_c, values_c = _descend(objective, gradient, basis, starts[i:i + chunk], cfg)
+            V, values = np.concatenate((V, V_c)), np.concatenate((values, values_c))
+            if values[-1] <= cfg.tol:
+                break
+    values = [float(v) for v in values]
+    k = int(np.argmin(values))  # the first of equal values
+    best, best_v = values[k], V[k]
     for _ in range(budget):
         if best <= cfg.tol:
             break
         scanned, V0 = _scan(objective, basis, best_v)
         if scanned >= best - cfg.tol:
             break
-        descend(V0)
+        V1, value = _descend(objective, gradient, basis, V0[None], cfg)
+        values.append(float(value[0]))
+        if values[-1] < best:
+            best, best_v = values[-1], V1[0]
     return best, best_v, tuple(values)
 
 
@@ -358,16 +405,15 @@ def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
     coordinates 2 (Re g_ij, Im g_ij) of the pairs i < j.  |sigma_ab|^2 <=
     p_a p_b keeps C bounded as p -> 0, where p is clipped at 1e-300."""
     rows, cols = _pairs(basis.d)
-    E = _hopping(basis.d, basis.n, basis.statistics)[cols, rows].reshape(rows.size, -1)
+    # column k: 2 (-i) E_ji transposed and flattened, so that C.ravel() @ F = 2 g
+    F = (-2j * _hopping(basis.d, basis.n, basis.statistics)[cols, rows]).swapaxes(1, 2).reshape(rows.size, -1).T
 
     def gradient(V, G):
-        sigma = (G @ rho) @ G.conj().T
-        log_p = np.log(np.maximum(sigma.diagonal().real, 1e-300))
-        C = sigma * (log_p[None, :] - log_p[:, None])
-        g = E @ (-1j * C).T.ravel()
-        out = np.empty(2 * rows.size)
-        out[0::2], out[1::2] = 2 * g.real, 2 * g.imag
-        return out
+        sigma = (G @ rho) @ G.conj().swapaxes(-1, -2)
+        log_p = np.log(np.maximum(np.diagonal(sigma, axis1=-2, axis2=-1).real, 1e-300))
+        C = sigma * (log_p[..., None, :] - log_p[..., :, None])
+        # the complex 2 g as its (real, imaginary) pairs
+        return (C.reshape(C.shape[:-2] + (1, rho.size)) @ F)[..., 0, :].view(float)
 
     return gradient
 
@@ -408,12 +454,6 @@ def _quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig,
     )
 
 
-def _oracle_chunk(basis: FockBasis) -> int:
-    """Draws per chunk of `quantumness_oracle`: as many as keep one stacked
-    array of complex max(d, D)^2 matrices within _ORACLE_CHUNK_BYTES."""
-    return max(1, _ORACLE_CHUNK_BYTES // (16 * max(basis.d, basis.size) ** 2))
-
-
 def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) -> float:
     """Best projected_entropy(rho, V) - S(rho) over `samples` Haar-random V.
 
@@ -422,23 +462,20 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     has d^2 - d transverse dimensions).  The V are those of `samples`
     successive haar_random_unitary(d, seed) calls, in the same order, but
     drawn and lifted a chunk at a time as stacks: each stacked array holds at
-    most _ORACLE_CHUNK_BYTES, whatever the sample count.
+    most _STACK_BYTES, whatever the sample count.
     """
     if samples < 1:
         raise InvalidSpec(f"need at least one sample, got {samples}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidSpec(f"seed must be nonnegative, got {seed}")
     rho = np.asarray(rho, dtype=complex)
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
     rng = np.random.default_rng(seed)
-    chunk = _oracle_chunk(basis)
+    chunk = _stack_chunk(basis)
     best = math.inf
     for start in range(0, samples, chunk):
         V = _haar_stack(basis.d, rng, min(chunk, samples - start))
-        G = lift_generator(_log_unitaries(V), basis)
-        p = ((G @ rho) * G.conj()).sum(axis=2).real
-        # the entropy of _outcome_entropy, row by row, with no log of a zero
-        keep = p > _EIG_CUT
-        h = 0.0 - (np.where(keep, p, 0.0) * np.log(np.where(keep, p, 1.0))).sum(axis=1)
-        best = min(best, h.min())
+        best = min(best, _outcome_entropy(lift_generator(_log_unitaries(V), basis), rho).min())
     return float(best - s_rho)
 
 
@@ -457,7 +494,7 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
 
     def objective(V, G):
         # the family of V+ has the lift Gamma(V+) = G+, so no second lift
-        sigma = dephase(rho, MeasurementFamily(V.conj().T, basis, G.conj().T))
+        sigma = dephase(rho, MeasurementFamily(V.conj().swapaxes(-1, -2), basis, G.conj().swapaxes(-1, -2)))
         return _relative_entropy(rho, sigma, s_rho)
 
     best, _, _ = _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)
@@ -513,16 +550,13 @@ class ClassificationReport:
     condensate_defect: float | None
 
 
-def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> float:
-    """Squared Frobenius distance from G rho G+, G a lifted rotation, to the
-    nearest diagonal state supported on all-particles-in-one-mode labels."""
-    X = G @ rho @ G.conj().T
-    for i in range(basis.d):
-        occ = (i,) * basis.n
-        if occ in basis:
-            k = basis.index_of(occ)
-            X[k, k] -= X[k, k].real
-    return float(np.vdot(X, X).real)
+def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance from G rho G+, G a lifted rotation or a stack
+    of them, to the nearest diagonal state on all-particles-in-one-mode labels."""
+    X = G @ rho @ G.conj().swapaxes(-1, -2)
+    k = [basis.index_of((i,) * basis.n) for i in range(basis.d) if (i,) * basis.n in basis]
+    X[..., k, k] -= X[..., k, k].real
+    return (X.view(float) ** 2).sum(axis=(-2, -1))
 
 
 def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,

@@ -52,11 +52,15 @@ def _log_unitary(V: np.ndarray) -> np.ndarray:
 
 
 def _log_unitaries(V: np.ndarray) -> np.ndarray:
-    """`_log_unitary` of each of a stack (m, d, d) of Haar unitaries, from a
-    batched eig.  Their eigenvalues are distinct almost surely, so the
-    eigenvectors are well conditioned; a degenerate V needs the Schur form."""
+    """`_log_unitary` of each of a stack (m, d, d) of unitaries, from a batched
+    eig; a V whose eigenvectors are further than 1e-8 from orthonormal (a
+    nearly degenerate spectrum) takes the Schur form instead."""
     w, P = np.linalg.eig(V)
+    bad = np.flatnonzero(np.abs(P.conj().swapaxes(1, 2) @ P - np.eye(P.shape[-1])).max(axis=(1, 2)) > 1e-8)
+    P[bad] = np.eye(P.shape[-1])  # any invertible P: their H is replaced below
     H = (P * np.angle(w)[:, None, :]) @ np.linalg.inv(P)
+    for k in bad:
+        H[k] = _log_unitary(V[k])
     return (H + H.conj().swapaxes(1, 2)) / 2
 
 

@@ -47,15 +47,15 @@ def dephase(rho: np.ndarray, fam: MeasurementFamily) -> np.ndarray:
     """Projective measurement channel sum_k Pi_k rho Pi_k.
 
     Output commutes with every projector, has the same diagonal as rho in the
-    rotated basis, and never lower entropy.
+    rotated basis, and never lower entropy; a stacked rotation gives a stack.
     """
     rho = np.asarray(rho)
     G = fam.rotation
-    if rho.shape != G.shape:
-        raise DimensionMismatch(f"state shape {rho.shape} vs family dimension {G.shape[0]}")
-    return (G * _rotated_diagonal(G, rho)) @ G.conj().T
+    if rho.shape != G.shape[-2:]:
+        raise DimensionMismatch(f"state shape {rho.shape} vs family dimension {G.shape[-1]}")
+    return (G * _rotated_diagonal(G, rho)[..., None, :]) @ G.conj().swapaxes(-1, -2)
 
 
 def _rotated_diagonal(G: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """diag(G+ rho G), real part, as one matrix product and a row sum."""
-    return ((G.conj().T @ rho) * G.T).sum(axis=1).real
+    return ((G.conj().swapaxes(-1, -2) @ rho) * G.swapaxes(-1, -2)).sum(axis=-1).real

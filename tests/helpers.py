@@ -69,6 +69,24 @@ def coupling_unitary(D: int) -> np.ndarray:
                for s in range(D))
 
 
+def two_loop(g: np.ndarray, steps, changes) -> np.ndarray:
+    """L-BFGS inverse-Hessian estimate applied to g by the two-loop recursion
+    (Nocedal and Wright, Numerical Optimization, Algorithm 7.4), H0 = gamma I
+    with gamma from the newest pair: the reference of the compact form the
+    solver uses.  steps and changes are oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y in zip(reversed(steps), reversed(changes)):
+        a = (s @ q) / (y @ s)
+        q -= a * y
+        alphas.append(a)
+    if steps:
+        q *= (steps[-1] @ changes[-1]) / (changes[-1] @ changes[-1])
+    for s, y, a in zip(steps, changes, reversed(alphas)):
+        q += (a - (y @ q) / (y @ s)) * s
+    return q
+
+
 def random_density(D: int, rng, rank: int | None = None) -> np.ndarray:
     rank = D if rank is None else rank
     G = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))

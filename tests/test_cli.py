@@ -97,6 +97,14 @@ def test_fock_state_entropy_is_positive_zero(tmp_path):
     assert "S(rho) = 0.000000000000 nats" in r.stderr
 
 
+def test_pair_state_entropy_is_positive_zero(psi_b_file):
+    # the spectrum of the README pair state tops out at 1 + 2**-52
+    r = run_cli("quantumness", psi_b_file, "--restarts", "1", "--machine")
+    assert r.returncode == 0, r.stderr
+    assert math.copysign(1.0, json.loads(r.stdout)["entropy"]) == 1.0
+    assert "S(rho) = 0.000000000000 nats" in r.stderr
+
+
 def test_quantumness_deterministic_per_seed(psi_b_file, tmp_path):
     args = ("quantumness", psi_b_file, "--restarts", "4", "--seed", "11", "--machine")
     a = run_cli(*args)
@@ -212,6 +220,15 @@ def test_nan_tol_exit_2(psi_b_file):
     r = run_cli("quantumness", psi_b_file, "--tol", "nan", "--machine")
     assert r.returncode == 2
     assert "tol" in r.stderr and r.stdout == ""
+
+
+def test_infinite_tol_and_negative_seed_exit_2(psi_b_file):
+    for argv in (("--tol", "inf", "--machine"), ("--seed", "-1"),
+                 ("--seed", "-1", "--oracle-samples", "10")):
+        r = run_cli("quantumness", psi_b_file, *argv)
+        assert r.returncode == 2
+        assert ("tol" if "--tol" in argv else "seed") in r.stderr and r.stdout == ""
+        assert "Traceback" not in r.stderr
 
 
 def test_missing_file_exit_2():

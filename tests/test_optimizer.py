@@ -19,8 +19,9 @@ from qcorr import (
     quantumness,
 )
 from qcorr import correlations
+from qcorr.measurement import MeasurementFamily, dephase
 
-from helpers import random_density, random_pure
+from helpers import random_density, random_pure, two_loop
 
 B, F = Statistics.BOSONIC, Statistics.FERMIONIC
 
@@ -181,3 +182,97 @@ def test_panel_never_above_powell(sector):
         assert abs(gap) <= 1e-9
         if rep.q_value > cfg.tol:
             assert len(rep.restart_values) >= correlations.DESCENTS_PER_RESTART * cfg.restarts
+
+
+def test_compact_direction_matches_the_two_loop_recursion():
+    # ragged memories, counts 0 ... 8, padded by zero slots before the pairs
+    rng = np.random.default_rng(8)
+    M = correlations._MEMORY
+    for n in (2, 6, 12, 20):
+        count = np.arange(M + 1)
+        g, mem = rng.standard_normal((M + 1, n)), np.zeros((M + 1, M, 2, n))
+        for row, c in enumerate(count):
+            s = rng.standard_normal((c, n))
+            y = s + 0.3 * rng.standard_normal((c, n))
+            y[(s * y).sum(axis=1) <= 0] *= -1  # the solver stores only pairs with s.y > 0
+            mem[row, M - c:, 0], mem[row, M - c:, 1] = s, y
+        out = correlations._direction(g, mem, count)
+        for row, c in enumerate(count):
+            ref = two_loop(g[row], list(mem[row, M - c:, 0]), list(mem[row, M - c:, 1]))
+            assert np.abs(out[row] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _objectives(rho, basis):
+    """The three searched objectives on rho, each with the gradient its
+    minimization uses: the entropy with its own, the geometric and the
+    condensate objectives with central differences."""
+    s_rho = correlations.shannon_entropy(np.linalg.eigvalsh(rho))
+
+    def entropy(V, G):
+        return correlations._outcome_entropy(G, rho) - s_rho
+
+    def geometric(V, G):
+        family = MeasurementFamily(V.conj().swapaxes(-1, -2), basis, G.conj().swapaxes(-1, -2))
+        return correlations._relative_entropy(rho, dephase(rho, family), s_rho)
+
+    def condensate(V, G):
+        return correlations._condensate_defect(rho, basis, G)
+
+    return {"entropy": (entropy, correlations._entropy_gradient(rho, basis)),
+            "geometric": (geometric, correlations._central_differences(geometric, basis)),
+            "condensate": (condensate, correlations._central_differences(condensate, basis))}
+
+
+LOCKSTEP_SECTORS = [(2, 2, B), (4, 2, F), (3, 3, B), (5, 3, F)]
+
+
+@pytest.mark.parametrize("max_iterations", [2, 2000])
+@pytest.mark.parametrize("sector", LOCKSTEP_SECTORS,
+                         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
+def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations):
+    # more starts than run at once, so some join as others end; each must
+    # end where it ends alone
+    basis = enumerate_basis(*sector)
+    rng = np.random.default_rng([sector[0], sector[1], max_iterations])
+    rho = random_density(basis.size, rng, rank=2)
+    m = correlations._WIDTH + 2
+    V = correlations._haar_stack(basis.d, rng, m)
+    cfg = OptimizerConfig(max_iterations=max_iterations)
+    for name, (objective, gradient) in _objectives(rho, basis).items():
+        V_all, values = correlations._descend(objective, gradient, basis, V, cfg)
+        assert values.shape == (m,) and np.all(values > cfg.tol)
+        for k in range(m):
+            V_k, value_k = correlations._descend(objective, gradient, basis, V[k:k + 1], cfg)
+            assert abs(values[k] - value_k[0]) <= 1e-12, f"{name} start {k}"
+            assert np.abs(V_all[k] - V_k[0]).max() <= 1e-10, f"{name} start {k}"
+
+
+@pytest.mark.parametrize("sector", [(3, 3, B), (5, 3, F)],
+                         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
+def test_search_over_two_stack_chunks(sector, monkeypatch):
+    # with two points to a chunk, the search takes its seven Haar starts in
+    # four chunks and scans in chunks of two points, and reports the same
+    basis = enumerate_basis(*sector)
+    rho = random_density(basis.size, np.random.default_rng([sector[0], 17]), rank=2)
+    cfg = OptimizerConfig(restarts=2, seed=3)
+    report = quantumness(rho, basis, cfg)
+    monkeypatch.setattr(correlations, "_STACK_BYTES", 2 * 16 * basis.size ** 2)
+    assert correlations._stack_chunk(basis) == 2
+    chunked = quantumness(rho, basis, cfg)
+    assert report.q_value > cfg.tol  # so no start is pruned and the scan runs
+    assert len(chunked.restart_values) == len(report.restart_values) >= 4 * cfg.restarts
+    assert np.abs(np.subtract(chunked.restart_values, report.restart_values)).max() <= 1e-12
+
+
+def test_pruning_keeps_the_reported_values():
+    # the README pair state: the natural-orbital start and the first Haar
+    # start stall at ln 2, the second reaches zero and ends the search; the
+    # values are those of a search that descends from one start at a time
+    basis = enumerate_basis(2, 2, B)
+    psi = np.zeros(3, dtype=complex)
+    psi[basis.index_of((0, 0))] = psi[basis.index_of((1, 1))] = 1 / np.sqrt(2)
+    rep = quantumness(np.outer(psi, psi.conj()), basis, OptimizerConfig(restarts=20, seed=0))
+    assert len(rep.restart_values) == 3
+    assert np.abs(np.subtract(rep.restart_values, (0.6931471805599454, 0.6931471805599456,
+                                                   6.661338147750938e-16))).max() <= 1e-12
+    assert rep.converged and rep.q_value <= 1e-12

@@ -34,7 +34,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from qcorr.correlations import _oracle_chunk
+from qcorr.correlations import _stack_chunk
 
 from helpers import (
     count_eigvalsh,
@@ -115,7 +115,8 @@ def test_shannon_entropy_cut():
 
 def test_entropies_of_a_point_mass_are_positive_zero():
     pure = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    for value in (shannon_entropy([1.0]), von_neumann_entropy(pure)):
+    # rounding can put a point mass at 1 + 2**-52, whose -p log p is negative
+    for value in (shannon_entropy([1.0]), shannon_entropy([1 + 2**-52]), von_neumann_entropy(pure)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -239,6 +240,16 @@ def test_optimizer_config_validation():
         OptimizerConfig(tol=0.0)
     with pytest.raises(InvalidSpec):
         OptimizerConfig(tol=float("nan"))
+    with pytest.raises(InvalidSpec):
+        OptimizerConfig(tol=math.inf)
+    with pytest.raises(InvalidSpec):
+        OptimizerConfig(seed=-1)
+
+
+def test_oracle_rejects_a_negative_seed():
+    basis = boson22()
+    with pytest.raises(InvalidSpec):
+        quantumness_oracle(np.eye(3) / 3, basis, 10, seed=-1)
 
 
 # ---------- oracle ----------
@@ -276,7 +287,7 @@ def test_oracle_matches_the_per_sample_loop(d, n, stats):
     # after k draws is the running minimum of the loop's first k values
     basis = enumerate_basis(d, n, stats)
     rho = random_density(basis.size, np.random.default_rng(31))
-    chunk = _oracle_chunk(basis)
+    chunk = _stack_chunk(basis)
     rng = np.random.default_rng(5)
     running = np.minimum.accumulate(
         [projected_entropy(rho, haar_random_unitary(d, rng), basis) for _ in range(chunk + 1)]
@@ -289,7 +300,7 @@ def test_oracle_matches_the_per_sample_loop(d, n, stats):
 def test_oracle_advances_a_generator_as_the_loop_does():
     basis = enumerate_basis(3, 2, Statistics.BOSONIC)
     rho = random_density(basis.size, np.random.default_rng(32))
-    samples = _oracle_chunk(basis) + 1  # a full chunk and a partial one
+    samples = _stack_chunk(basis) + 1  # a full chunk and a partial one
     oracle_rng, loop_rng = np.random.default_rng(33), np.random.default_rng(33)
     quantumness_oracle(rho, basis, samples, seed=oracle_rng)
     for _ in range(samples):
