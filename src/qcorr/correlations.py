@@ -7,6 +7,7 @@ All entropies are in nats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -27,7 +28,8 @@ from .lift import (
 from .measurement import MeasurementFamily, dephase
 
 _EIG_CUT = 1e-12
-# bytes of the largest stacked array of a chunk of oracle draws, starts or scan points
+# bytes of the largest stacked array of a chunk of oracle draws or scan points, or of
+# the central differences of the descents of one lockstep round
 _STACK_BYTES = 2**18
 # classify_report: Q at or below Q_TOL is class P; a condensate-mixture
 # defect at or below STRUCTURE_TOL is class C
@@ -106,6 +108,11 @@ def _natural_orbitals(rho: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np
     return occupations, W.T
 
 
+def _whole(count, least: int) -> bool:
+    """An integer (Python or numpy) count of at least `least`."""
+    return isinstance(count, numbers.Integral) and count >= least
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multistart local search over the single-particle unitary group.
@@ -128,8 +135,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # written so that a NaN fails it, since every comparison with NaN is False
-        if not (self.restarts >= 1 and self.max_iterations >= 1 and 0 < self.tol < math.inf and self.seed >= 0):
-            raise InvalidSpec("need restarts, max_iterations >= 1, 0 < tol < inf and seed >= 0")
+        if not (_whole(self.restarts, 1) and _whole(self.max_iterations, 1) and _whole(self.seed, 0)
+                and 0 < self.tol < math.inf):
+            raise InvalidSpec("need integers restarts, max_iterations >= 1 and seed >= 0, and 0 < tol < inf")
 
 
 @dataclass(frozen=True)
@@ -202,14 +210,12 @@ def _planes(basis: FockBasis) -> tuple[np.ndarray, ...]:
 
 def _central_differences(objective, basis: FockBasis):
     """Central differences of `objective` along the unit generators, one call per stack."""
-    w, u, W, U = (a[::2] for a in _planes(basis))
-    turns = 1j * np.array([_FD_STEP, -_FD_STEP])[:, None, None]
-    A, B = u * np.exp(turns * w)[..., None, :], U * np.exp(turns * W)[..., None, :]
-    uh, Uh = u.conj().swapaxes(1, 2), U.conj().swapaxes(1, 2)
+    W, U = (a[::2] for a in _planes(basis)[2:])
+    B = U * np.exp(1j * np.array([_FD_STEP, -_FD_STEP])[:, None, None] * W)[..., None, :]
+    Uh = U.conj().swapaxes(1, 2)
 
-    def gradient(V, G):  # points (..., 2, d^2 - d, d, d): one axis for +-, one per coordinate
-        values = objective(A @ (uh @ V[..., None, :, :])[..., None, :, :, :],
-                           B @ (Uh @ G[..., None, :, :])[..., None, :, :, :])
+    def gradient(G):  # points (..., 2, d^2 - d, D, D): one axis for +-, one per coordinate
+        values = objective(B @ (Uh @ G[..., None, :, :])[..., None, :, :, :])
         return (values[..., 0, :] - values[..., 1, :]) / (2 * _FD_STEP)
 
     return gradient
@@ -236,24 +242,26 @@ def _direction(g: np.ndarray, mem: np.ndarray, count: np.ndarray) -> np.ndarray:
     return gamma[:, 0] * g + (pairs.swapaxes(1, 2) @ coef.reshape(len(g), -1, 1))[:, :, 0]
 
 
-def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: OptimizerConfig):
+def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: OptimizerConfig,
+             width: int = _WIDTH):
     """L-BFGS descents with Armijo backtracking from starts V (m, d, d), in lockstep
-    rounds of at most _WIDTH.  A descent stops when every gradient coordinate is
-    below _GRAD_TOL, when its value stops falling (a full step would gain less
-    than _ROUNDING of it, or _HALVINGS halvings fail even along -gradient), or
-    after cfg.max_iterations iterations.  Halvings run in batches of 3, 12 and 4
-    steps, and each descent takes its first accepted one.  Values only fall, so
-    one at or below cfg.tol drops every later start.  Returns the final V and
-    values of the starts up to that one (all if none)."""
+    rounds of at most `width`.  The objective and gradient see only the lifts G;
+    a descent's V moves once per accepted step.  A descent stops when every
+    gradient coordinate is below _GRAD_TOL, when its value stops falling (a full
+    step would gain less than _ROUNDING of it, or _HALVINGS halvings fail even
+    along -gradient), or after cfg.max_iterations iterations.  Halvings run in
+    batches of 3, 12 and 4 steps, and each descent takes its first accepted one.
+    Values only fall, so one at or below cfg.tol drops every later start.
+    Returns the final V and values of the starts up to that one (all if none)."""
     m, n = len(V), basis.d * basis.d - basis.d
     out_V, out, closer, joined, live = V.copy(), np.zeros(m), m, 0, None
 
-    def join():  # the next starts join the running descents, a row each, up to _WIDTH rows
+    def join():  # the next starts join the running descents, a row each, up to `width` rows
         nonlocal live, joined
-        k = np.arange(joined, min(joined + _WIDTH - (live.order.size if live else 0), closer + 1, m))
+        k = np.arange(joined, min(joined + width - (live.order.size if live else 0), closer + 1, m))
         # a unit axis per row keeps each row's products, so its rounding, the same in any stack
         G = lift_generator(_log_unitaries(V[k])[:, None], basis)[:, 0]
-        rows = dict(order=k, V=V[k], G=G, value=objective(V[k], G), g=gradient(V[k], G),
+        rows = dict(order=k, V=V[k], G=G, value=objective(G), g=gradient(G),
                     mem=np.zeros((k.size, _MEMORY, 2, n)), count=np.zeros(k.size, int),
                     iters=np.zeros(k.size, int))
         if live:
@@ -286,31 +294,30 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
         if live.order.size:
             live.iters += 1
             X = (p @ _units(basis.d)).reshape(-1, basis.d, basis.d)
-            w, u = np.linalg.eigh(X)
             W, U = np.linalg.eigh(lift_observable(X[:, None], basis)[:, 0])
-            uV, UG = u.conj().swapaxes(1, 2) @ live.V, U.conj().swapaxes(1, 2) @ live.G
-            turn = 1j * t[:, None]
-            V_t, G_t = (u * np.exp(turn * w)[:, None, :]) @ uV, (U * np.exp(turn * W)[:, None, :]) @ UG
-            trial = objective(V_t, G_t)
+            UG = U.conj().swapaxes(1, 2) @ live.G
+            G_t = (U * np.exp(1j * t[:, None] * W)[:, None, :]) @ UG
+            trial = objective(G_t)
             ok, tried = trial <= live.value + _ARMIJO * t * slope, 1
             while tried < _HALVINGS and not ok.all():  # the halvings j of the rows k not yet accepted
                 k = np.flatnonzero(~ok) if ok.any() else slice(None)
                 j = np.arange(tried, min(4 * tried, _HALVINGS))
                 steps = t[k, None] / 2.0 ** j
-                turn = 1j * steps[..., None]
-                V_j = (u[k, None] * np.exp(turn * w[k, None])[..., None, :]) @ uV[k, None]
-                G_j = (U[k, None] * np.exp(turn * W[k, None])[..., None, :]) @ UG[k, None]
-                f = objective(V_j, G_j)
+                G_j = (U[k, None] * np.exp(1j * steps[..., None] * W[k, None])[..., None, :]) @ UG[k, None]
+                f = objective(G_j)
                 hit = f <= live.value[k, None] + _ARMIJO * steps * slope[k, None]
-                for i in np.flatnonzero(hit.any(axis=1)):  # the first accepted halving of row k[i]
-                    r, c = np.arange(len(t))[k][i], hit[i].argmax()
-                    V_t[r], G_t[r], trial[r], t[r], ok[r] = V_j[i, c], G_j[i, c], f[i, c], steps[i, c], True
+                i = np.flatnonzero(hit.any(axis=1))  # the rows k[i] that accept a halving, at their first
+                r, c = np.arange(len(t))[k][i], hit[i].argmax(axis=1)
+                G_t[r], trial[r], t[r], ok[r] = G_j[i, c], f[i, c], steps[i, c], True
                 tried = j[-1] + 1
             if ok.any():
                 a = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice gives views
-                g_t = gradient(V_t[a], G_t[a])
+                g_t = gradient(G_t[a])
                 s, y = t[a, None] * p[a], g_t - live.g[a]
-                live.V[a], live.G[a], live.value[a], live.g[a] = V_t[a], G_t[a], trial[a], g_t
+                w, u = np.linalg.eigh(X[a])
+                uV = u.conj().swapaxes(1, 2) @ live.V[a]
+                live.V[a] = (u * np.exp(1j * t[a, None] * w)[:, None, :]) @ uV
+                live.G[a], live.value[a], live.g[a] = G_t[a], trial[a], g_t
                 keep = (s * y).sum(axis=1) > 0.0
                 if not keep.all():  # a row stores its pair only when s.y > 0
                     a, s, y = np.flatnonzero(ok)[keep], s[keep], y[keep]
@@ -320,7 +327,7 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
                 stuck = ~ok & (live.count == 0)
                 live.mem[~ok], live.count[~ok] = 0.0, 0
                 leave(stuck)
-        if live.order.size < _WIDTH and joined <= min(closer, m - 1):
+        if live.order.size < width and joined <= min(closer, m - 1):
             join()
     return out_V[:closer + 1], out[:closer + 1]
 
@@ -333,48 +340,47 @@ def _scan(objective, basis: FockBasis, V: np.ndarray):
     # positive) so that every point of V's torus orbit scans the same set.
     lead = V[np.arange(basis.d), np.abs(V).argmax(axis=1)]
     V = V * (lead.conj() / np.abs(lead))[:, None]
-    G = lift_unitary(V, basis)
     w, u, W, U = _planes(basis)
-    uV, UG = u.conj().swapaxes(1, 2) @ V, U.conj().swapaxes(1, 2) @ G
+    UG = U.conj().swapaxes(1, 2) @ lift_unitary(V, basis)
     plane, angle = np.divmod(np.arange(len(u) * _SCAN_ANGLES.size), _SCAN_ANGLES.size)
-    best, arg, step = math.inf, V, _stack_chunk(basis)
+    best, arg, step = math.inf, 0, _stack_chunk(basis)
     for i in range(0, plane.size, step):
         k, turn = plane[i:i + step], 1j * _SCAN_ANGLES[angle[i:i + step], None]
-        V_t = (u[k] * np.exp(turn * w[k])[:, None, :]) @ uV[k]
-        values = objective(V_t, (U[k] * np.exp(turn * W[k])[:, None, :]) @ UG[k])
+        values = objective((U[k] * np.exp(turn * W[k])[:, None, :]) @ UG[k])
         j = np.argmin(values)
         if values[j] < best:
-            best, arg = values[j], V_t[j]
-    return best, arg
+            best, arg = values[j], i + j
+    k, turn = plane[arg], 1j * _SCAN_ANGLES[angle[arg]]
+    return best, (u[k] * np.exp(turn * w[k])[None, :]) @ (u[k].conj().T @ V)
 
 
 def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: OptimizerConfig,
                          gradient=None):
     """Shared multistart driver: returns (best value, best V, the value of
-    every descent in order).
+    every descent in order); a best value in (-1e-9, 0] is reported as +0.0.
 
-    objective(V, G) takes unitaries V and lifts G = Gamma(V), or stacks of them
-    (..., d, d) and (..., D, D); it must be unchanged by V -> D V for diagonal
-    unitary D, and nonnegative.  gradient(V, G) returns its coordinates
+    objective(G) takes lifts G = Gamma(V), or a stack of them (..., D, D),
+    and must be nonnegative; it sees V only through G, so it is unchanged by
+    V -> D V for diagonal unitary D.  gradient(G) returns its coordinates
     (..., d^2 - d) along V -> exp(itX) V (central differences by default).
     One descent starts at `start`, then DESCENTS_PER_RESTART * cfg.restarts - 1
-    at Haar samples from cfg.seed, in chunks within _STACK_BYTES, until one
-    reaches cfg.tol.  A point where some outcome probability vanishes is a
-    local trap for -p log p, so the search then scans plane rotations around
-    the best point and descends again from the lowest scanned point while it
-    beats the best by more than cfg.tol, at most once per start.
+    at Haar samples from cfg.seed, as wide a lockstep as _STACK_BYTES allows,
+    until one reaches cfg.tol.  A point where some outcome probability vanishes
+    is a local trap for -p log p, so the search then scans plane rotations
+    around the best point and descends again from the lowest scanned point
+    while it beats the best by more than cfg.tol, at most once per start.
     """
-    chunk = _stack_chunk(basis, 1 if gradient else 2 * (basis.d * basis.d - basis.d))
-    gradient = gradient or _central_differences(objective, basis)
     budget = DESCENTS_PER_RESTART * cfg.restarts
-    V, values = _descend(objective, gradient, basis, start[None], cfg)
-    if values[-1] > cfg.tol:
-        starts = _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)
-        for i in range(0, budget - 1, chunk):
-            V_c, values_c = _descend(objective, gradient, basis, starts[i:i + chunk], cfg)
-            V, values = np.concatenate((V, V_c)), np.concatenate((values, values_c))
-            if values[-1] <= cfg.tol:
-                break
+    if basis.d == 1:  # every V is a phase: no direction to descend along or scan
+        V, values, budget = start[None], objective(lift_unitary(start, basis)[None]), 0
+    else:
+        width = min(_WIDTH, _stack_chunk(basis, 1 if gradient else 2 * (basis.d * basis.d - basis.d)))
+        gradient = gradient or _central_differences(objective, basis)
+        V, values = _descend(objective, gradient, basis, start[None], cfg)
+        if values[-1] > cfg.tol:
+            starts = _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)
+            V_h, values_h = _descend(objective, gradient, basis, starts, cfg, width)
+            V, values = np.concatenate((V, V_h)), np.concatenate((values, values_h))
     values = [float(v) for v in values]
     k = int(np.argmin(values))  # the first of equal values
     best, best_v = values[k], V[k]
@@ -388,7 +394,7 @@ def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: Op
         values.append(float(value[0]))
         if values[-1] < best:
             best, best_v = values[-1], V1[0]
-    return best, best_v, tuple(values)
+    return 0.0 if -1e-9 < best <= 0.0 else best, best_v, tuple(values)
 
 
 def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
@@ -406,9 +412,10 @@ def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
     p_a p_b keeps C bounded as p -> 0, where p is clipped at 1e-300."""
     rows, cols = _pairs(basis.d)
     # column k: 2 (-i) E_ji transposed and flattened, so that C.ravel() @ F = 2 g
-    F = (-2j * _hopping(basis.d, basis.n, basis.statistics)[cols, rows]).swapaxes(1, 2).reshape(rows.size, -1).T
+    E = _hopping(basis.d, basis.n, basis.statistics)
+    F = (-2j * E[cols, rows]).swapaxes(1, 2).reshape(-1, rho.size).T
 
-    def gradient(V, G):
+    def gradient(G):
         sigma = (G @ rho) @ G.conj().swapaxes(-1, -2)
         log_p = np.log(np.maximum(np.diagonal(sigma, axis1=-2, axis2=-1).real, 1e-300))
         C = sigma * (log_p[..., None, :] - log_p[..., :, None])
@@ -424,7 +431,7 @@ def quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = Optimi
 
     The minimum is the quantumness of correlations: zero exactly on states
     that are convex mixtures of lifted Fock states in a common single-particle
-    basis, positive otherwise.  Values in (-1e-9, 0) are clamped to zero.  The
+    basis, positive otherwise.  Values in (-1e-9, 0] are reported as +0.0.  The
     `converged` flag is false when no second descent confirms the best value
     within 1e-4.
     """
@@ -437,16 +444,13 @@ def _quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig,
     """Body of `quantumness` for a checked rho with the given spectrum."""
     s_rho = shannon_entropy(spectrum)
 
-    def objective(V, G):
+    def objective(G):
         return _outcome_entropy(G, rho) - s_rho
 
     best, V, values = _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1],
                                            cfg, gradient=_entropy_gradient(rho, basis))
-    q = best
-    if -1e-9 < q < 0.0:
-        q = 0.0
     return QuantumnessReport(
-        q_value=q,
+        q_value=best,
         argmin_v=V,
         restart_values=values,
         converged=_converged(values, best, cfg.tol),
@@ -464,8 +468,8 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     drawn and lifted a chunk at a time as stacks: each stacked array holds at
     most _STACK_BYTES, whatever the sample count.
     """
-    if samples < 1:
-        raise InvalidSpec(f"need at least one sample, got {samples}")
+    if not _whole(samples, 1):
+        raise InvalidSpec(f"need a whole number of samples, at least one, got {samples!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InvalidSpec(f"seed must be nonnegative, got {seed}")
     rho = np.asarray(rho, dtype=complex)
@@ -492,15 +496,11 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     rho = np.asarray(rho, dtype=complex)
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
 
-    def objective(V, G):
-        # the family of V+ has the lift Gamma(V+) = G+, so no second lift
-        sigma = dephase(rho, MeasurementFamily(V.conj().swapaxes(-1, -2), basis, G.conj().swapaxes(-1, -2)))
-        return _relative_entropy(rho, sigma, s_rho)
+    def objective(G):
+        # the family of V+ is its rotation Gamma(V+) = G+, so no second lift
+        return _relative_entropy(rho, dephase(rho, MeasurementFamily(G.conj().swapaxes(-1, -2))), s_rho)
 
-    best, _, _ = _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)
-    if -1e-9 < best < 0.0:
-        best = 0.0
-    return float(best)
+    return _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -578,7 +578,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
         # non-degenerate spectrum: the candidate was the only option
         return False, math.sqrt(defect)
 
-    def objective(V, G):
+    def objective(G):
         return _condensate_defect(rho, basis, G)
 
     best, _, _ = _minimize_over_group(objective, basis, V, cfg)

@@ -14,10 +14,8 @@ from .lift import lift_unitary
 @dataclass(frozen=True)
 class MeasurementFamily:
     """Complete family of D rank-1 projectors Gamma(V)|k><k|Gamma(V)+, one per
-    occupation vector.  `rotation` caches Gamma(V) for reuse on the hot path."""
+    occupation vector, held as its rotation Gamma(V)."""
 
-    V: np.ndarray
-    basis: FockBasis
     rotation: np.ndarray
 
     @property
@@ -27,8 +25,7 @@ class MeasurementFamily:
 
 
 def build_family(V: np.ndarray, basis: FockBasis) -> MeasurementFamily:
-    V = np.asarray(V, dtype=complex)
-    return MeasurementFamily(V=V, basis=basis, rotation=lift_unitary(V, basis))
+    return MeasurementFamily(lift_unitary(V, basis))
 
 
 def outcome_probabilities(rho: np.ndarray, fam: MeasurementFamily) -> np.ndarray:

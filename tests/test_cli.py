@@ -105,6 +105,21 @@ def test_pair_state_entropy_is_positive_zero(psi_b_file):
     assert "S(rho) = 0.000000000000 nats" in r.stderr
 
 
+@pytest.mark.parametrize("sector", ["1 2 bosonic 0,0", "1 1 fermionic 0"], ids=["1-2-B", "1-1-F"])
+def test_one_mode_state_file(tmp_path, sector):
+    # one mode: every V is a phase, so Q = 0 with the one start as its descent
+    d, n, stats, occ = sector.split()
+    p = tmp_path / "one_mode.txt"
+    p.write_text(f"d {d}\nn {n}\nstatistics {stats}\nrepresentation pure\n{occ} 1.0 0.0\n")
+    r = run_cli("quantumness", str(p), "--restarts", "2", "--machine")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["q_value"] == 0.0 and doc["restart_values"] == [0.0] and doc["converged"] is True
+    r = run_cli("classify", str(p))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("class: C" if stats == "bosonic" else "class: P")
+
+
 def test_quantumness_deterministic_per_seed(psi_b_file, tmp_path):
     args = ("quantumness", psi_b_file, "--restarts", "4", "--seed", "11", "--machine")
     a = run_cli(*args)

@@ -54,7 +54,7 @@ def test_entropy_gradient_matches_central_differences(sector):
     psi = random_pure(basis.size, rng)
     for rho in (np.outer(psi, psi.conj()), random_density(basis.size, rng, rank=2)):
         V = haar_random_unitary(d, rng)
-        grad = correlations._entropy_gradient(rho, basis)(V, lift_unitary(V, basis))
+        grad = correlations._entropy_gradient(rho, basis)(lift_unitary(V, basis))
         diff = [(projected_entropy(rho, expm(1j * h * X) @ V, basis)
                  - projected_entropy(rho, expm(-1j * h * X) @ V, basis)) / (2 * h)
                 for X in _plane_generators(d)]
@@ -108,13 +108,13 @@ def test_escape_scan_ignores_the_row_phases_of_its_centre():
     V = haar_random_unitary(3, rng)
     D = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 3)))
 
-    def objective(V, G):
+    def objective(G):
         return correlations._outcome_entropy(G, rho)
 
     value, W = correlations._scan(objective, basis, V)
     value_d, W_d = correlations._scan(objective, basis, D @ V)
     assert value_d == pytest.approx(value, abs=1e-13)
-    assert objective(W_d, lift_unitary(W_d, basis)) == pytest.approx(value, abs=1e-13)
+    assert objective(lift_unitary(W_d, basis)) == pytest.approx(value, abs=1e-13)
 
 
 def test_two_routes_agree_where_every_descent_stalls():
@@ -208,14 +208,14 @@ def _objectives(rho, basis):
     condensate objectives with central differences."""
     s_rho = correlations.shannon_entropy(np.linalg.eigvalsh(rho))
 
-    def entropy(V, G):
+    def entropy(G):
         return correlations._outcome_entropy(G, rho) - s_rho
 
-    def geometric(V, G):
-        family = MeasurementFamily(V.conj().swapaxes(-1, -2), basis, G.conj().swapaxes(-1, -2))
+    def geometric(G):
+        family = MeasurementFamily(G.conj().swapaxes(-1, -2))
         return correlations._relative_entropy(rho, dephase(rho, family), s_rho)
 
-    def condensate(V, G):
+    def condensate(G):
         return correlations._condensate_defect(rho, basis, G)
 
     return {"entropy": (entropy, correlations._entropy_gradient(rho, basis)),
@@ -226,12 +226,13 @@ def _objectives(rho, basis):
 LOCKSTEP_SECTORS = [(2, 2, B), (4, 2, F), (3, 3, B), (5, 3, F)]
 
 
+@pytest.mark.parametrize("width", [correlations._WIDTH, 3])
 @pytest.mark.parametrize("max_iterations", [2, 2000])
 @pytest.mark.parametrize("sector", LOCKSTEP_SECTORS,
                          ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
-def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations):
+def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations, width):
     # more starts than run at once, so some join as others end; each must
-    # end where it ends alone
+    # end where it ends alone, at the full width and at a narrower one
     basis = enumerate_basis(*sector)
     rng = np.random.default_rng([sector[0], sector[1], max_iterations])
     rho = random_density(basis.size, rng, rank=2)
@@ -239,7 +240,7 @@ def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations):
     V = correlations._haar_stack(basis.d, rng, m)
     cfg = OptimizerConfig(max_iterations=max_iterations)
     for name, (objective, gradient) in _objectives(rho, basis).items():
-        V_all, values = correlations._descend(objective, gradient, basis, V, cfg)
+        V_all, values = correlations._descend(objective, gradient, basis, V, cfg, width)
         assert values.shape == (m,) and np.all(values > cfg.tol)
         for k in range(m):
             V_k, value_k = correlations._descend(objective, gradient, basis, V[k:k + 1], cfg)
@@ -250,8 +251,8 @@ def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations):
 @pytest.mark.parametrize("sector", [(3, 3, B), (5, 3, F)],
                          ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
 def test_search_over_two_stack_chunks(sector, monkeypatch):
-    # with two points to a chunk, the search takes its seven Haar starts in
-    # four chunks and scans in chunks of two points, and reports the same
+    # with two points to a chunk, the search descends its seven Haar starts
+    # two at a time and scans in chunks of two points, and reports the same
     basis = enumerate_basis(*sector)
     rho = random_density(basis.size, np.random.default_rng([sector[0], 17]), rank=2)
     cfg = OptimizerConfig(restarts=2, seed=3)

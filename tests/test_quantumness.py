@@ -18,6 +18,7 @@ from qcorr import (
     classify,
     classify_report,
     dephase,
+    entanglement_maxcorr,
     enumerate_basis,
     geometric_quantumness,
     haar_random_unitary,
@@ -28,6 +29,7 @@ from qcorr import (
     quantumness,
     quantumness_oracle,
     relative_entropy,
+    run_protocol,
     shannon_entropy,
     slater_rank_two_particle,
     slater_state,
@@ -115,9 +117,35 @@ def test_shannon_entropy_cut():
 
 def test_entropies_of_a_point_mass_are_positive_zero():
     pure = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    # rounding can put a point mass at 1 + 2**-52, whose -p log p is negative
-    for value in (shannon_entropy([1.0]), shannon_entropy([1 + 2**-52]), von_neumann_entropy(pure)):
+    # rounding can put a point mass at 1 + 2**-52, whose -p log p is negative;
+    # the one state of a D = 1 sector is a point mass whatever the rotation,
+    # and its relative entropy to itself comes out of the eigenvalues as -0.0
+    one_state = [(np.eye(1, dtype=complex), enumerate_basis(d, d, Statistics.FERMIONIC)) for d in (2, 3)]
+    for value in (shannon_entropy([1.0]), shannon_entropy([1 + 2**-52]), von_neumann_entropy(pure),
+                  *(quantumness(rho, basis, OptimizerConfig(restarts=1)).q_value for rho, basis in one_state),
+                  *(geometric_quantumness(rho, basis, OptimizerConfig(restarts=1)) for rho, basis in one_state)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("sector", [(1, 2, Statistics.BOSONIC), (1, 1, Statistics.FERMIONIC)],
+                         ids=["1-2-B", "1-1-F"])
+def test_one_mode_sectors(sector):
+    # with one mode every V is a phase, so no search has a direction to take:
+    # each route reports the start, Q = 0
+    basis = enumerate_basis(*sector)
+    rho = np.eye(1, dtype=complex)
+    cfg = OptimizerConfig(restarts=2)
+    rep = quantumness(rho, basis, cfg)
+    assert rep.q_value == 0.0 and rep.restart_values == (0.0,) and rep.converged
+    assert rep.argmin_v.shape == (1, 1) and abs(abs(rep.argmin_v[0, 0]) - 1.0) <= 1e-15
+    assert geometric_quantumness(rho, basis, cfg) == 0.0
+    assert quantumness_oracle(rho, basis, 10, seed=0) == 0.0
+    joint = run_protocol(rho, np.eye(1), basis)
+    assert entanglement_maxcorr(joint) == pytest.approx(0.0, abs=1e-12)
+    # one boson mode holds a condensate; one fermion in one mode is a Slater state
+    expected = Classification.CLASSICAL_ONLY_C if sector[2] is Statistics.BOSONIC \
+        else Classification.NO_QUANTUMNESS_P
+    assert classify(rho, basis, cfg) is expected
 
 
 def test_relative_entropy_basics():
@@ -244,12 +272,20 @@ def test_optimizer_config_validation():
         OptimizerConfig(tol=math.inf)
     with pytest.raises(InvalidSpec):
         OptimizerConfig(seed=-1)
+    # the counts are integers: numpy's would do, a float would not
+    assert OptimizerConfig(restarts=np.int64(2), max_iterations=np.int32(5), seed=np.uint8(3)).restarts == 2
+    for fractional in (dict(restarts=2.5), dict(max_iterations=1.5), dict(seed=1.5)):
+        with pytest.raises(InvalidSpec):
+            OptimizerConfig(**fractional)
 
 
-def test_oracle_rejects_a_negative_seed():
+def test_oracle_validation():
     basis = boson22()
     with pytest.raises(InvalidSpec):
         quantumness_oracle(np.eye(3) / 3, basis, 10, seed=-1)
+    for samples in (0, 2.5):
+        with pytest.raises(InvalidSpec):
+            quantumness_oracle(np.eye(3) / 3, basis, samples, seed=0)
 
 
 # ---------- oracle ----------
