@@ -59,7 +59,7 @@ from .lift import (
     lift_observable,
     lift_unitary,
 )
-from .measurement import MeasurementFamily, build_family, dephase, outcome_probabilities
+from .measurement import MeasurementFamily, build_family, dephase
 from .statefile import ParsedState, parse_state_file, parse_state_text, write_state_file, write_state_text
 
 __version__ = "0.1.0"

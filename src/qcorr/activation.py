@@ -28,11 +28,17 @@ MAX_JOINT_BYTES = 2**30
 
 @dataclass(frozen=True)
 class JointState:
-    """System (x) apparatus state; joint index = system * apparatus_dim + apparatus."""
+    """System (x) apparatus state; joint index = system * apparatus_dim + apparatus.
+
+    The apparatus records the system's Fock index, so it has the system's dimension.
+    """
 
     system_dim: int
-    apparatus_dim: int
     matrix: np.ndarray
+
+    @property
+    def apparatus_dim(self) -> int:
+        return self.system_dim
 
 
 class Subsystem(Enum):
@@ -71,7 +77,7 @@ def run_protocol(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> JointState
     joint = np.zeros((D * D, D * D), dtype=complex)
     idx = _pattern_index(D)  # pi(s*D) = s*D + s
     joint[idx[:, None], idx[None, :]] = G @ rho @ G.conj().T
-    return JointState(system_dim=D, apparatus_dim=D, matrix=joint)
+    return JointState(system_dim=D, matrix=joint)
 
 
 def max_corr_coefficients(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -95,10 +101,7 @@ def verify_maximally_correlated(js: JointState, tol: float = 1e-10) -> tuple[boo
     Reads the joint in slabs of D rows, one per system index, so the only
     temporary is D x D^2.
     """
-    D, DM = js.system_dim, js.apparatus_dim
-    if DM != D:
-        raise DimensionMismatch("pattern check needs equal system/apparatus dimensions")
-    M = js.matrix
+    D, M = js.system_dim, js.matrix
     if M.shape != (D * D, D * D):
         raise DimensionMismatch(f"joint shape {M.shape} vs system dimension {D}")
     idx = _pattern_index(D)
@@ -113,8 +116,8 @@ def verify_maximally_correlated(js: JointState, tol: float = 1e-10) -> tuple[boo
 
 
 def partial_trace(js: JointState, keep: Subsystem) -> np.ndarray:
-    D, DM = js.system_dim, js.apparatus_dim
-    M = js.matrix.reshape(D, DM, D, DM)
+    D = js.system_dim
+    M = js.matrix.reshape(D, D, D, D)
     if keep is Subsystem.SYSTEM:
         return np.einsum("ajbj->ab", M)
     return np.einsum("iaib->ab", M)

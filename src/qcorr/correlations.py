@@ -17,15 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
-from .lift import (
-    _haar_stack,
-    _hopping,
-    _log_unitaries,
-    lift_generator,
-    lift_observable,
-    lift_unitary,
-)
-from .measurement import MeasurementFamily, dephase
+from .lift import _haar_stack, _hopping, lift_observable, lift_unitary
+from .measurement import MeasurementFamily, _born_probabilities, dephase
 
 _EIG_CUT = 1e-12
 # bytes of the largest stacked array of a chunk of oracle draws or scan points, or of
@@ -75,7 +68,7 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, s_rho: float) -> np.nd
 
 def _outcome_entropy(G: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """`shannon_entropy` of diag(G rho G+) for a lifted rotation G or a stack of them."""
-    p = ((G @ rho) * G.conj()).sum(axis=-1).real
+    p = _born_probabilities(G, rho)
     p = np.where(p > _EIG_CUT, p, 1.0)  # a cut entry adds 1 log 1 = 0, with no log of 0
     return np.maximum(-(p * np.log(p)).sum(axis=-1), 0.0)
 
@@ -260,7 +253,7 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
         nonlocal live, joined
         k = np.arange(joined, min(joined + width - (live.order.size if live else 0), closer + 1, m))
         # a unit axis per row keeps each row's products, so its rounding, the same in any stack
-        G = lift_generator(_log_unitaries(V[k])[:, None], basis)[:, 0]
+        G = lift_unitary(V[k][:, None], basis)[:, 0]
         rows = dict(order=k, V=V[k], G=G, value=objective(G), g=gradient(G),
                     mem=np.zeros((k.size, _MEMORY, 2, n)), count=np.zeros(k.size, int),
                     iters=np.zeros(k.size, int))
@@ -479,7 +472,7 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     best = math.inf
     for start in range(0, samples, chunk):
         V = _haar_stack(basis.d, rng, min(chunk, samples - start))
-        best = min(best, _outcome_entropy(lift_generator(_log_unitaries(V), basis), rho).min())
+        best = min(best, _outcome_entropy(lift_unitary(V, basis), rho).min())
     return float(best - s_rho)
 
 
@@ -489,16 +482,16 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
 
     Independent route to the same number as `quantumness`: the objective here
     is S(rho || Delta_V(rho)) computed through eigendecompositions, where
-    Delta_V pinches in the basis Gamma(V)+|k>; the pinching identity makes it
-    equal projected_entropy(rho, V) - S(rho) at every V.  It has no gradient
+    Delta_V is `dephase` by the family of V, which pinches in the basis
+    Gamma(V)+|k> that projected_entropy measures in; the pinching identity
+    makes it equal projected_entropy(rho, V) - S(rho) at every V.  It has no gradient
     of its own, so the search takes central differences of its values.
     """
     rho = np.asarray(rho, dtype=complex)
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
 
     def objective(G):
-        # the family of V+ is its rotation Gamma(V+) = G+, so no second lift
-        return _relative_entropy(rho, dephase(rho, MeasurementFamily(G.conj().swapaxes(-1, -2))), s_rho)
+        return _relative_entropy(rho, dephase(rho, MeasurementFamily(G)), s_rho)
 
     return _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)[0]
 

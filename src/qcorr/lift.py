@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DimensionMismatch, InvalidSpec
 from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis
@@ -41,27 +40,17 @@ def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
 
 
 def _log_unitary(V: np.ndarray) -> np.ndarray:
-    """A Hermitian H with exp(iH) = V, from the complex Schur form of V.
+    """A Hermitian H with exp(iH) = V for a unitary V, or for each of a stack
+    (..., d, d) of them, with the phases on the principal branch (-pi, pi].
 
-    V is normal, so its Schur form is diagonal up to rounding; the phases
-    are taken on the principal branch (-pi, pi].
+    V is normal, so eig's eigenvectors of distinct eigenvalues are orthogonal
+    up to rounding; QR orthonormalizes them, which only mixes those of (nearly)
+    repeated eigenvalues, where any orthonormal choice gives the same H.
     """
-    T, Z = schur(V, output="complex")
-    H = (Z * np.angle(np.diag(T))) @ Z.conj().T
-    return (H + H.conj().T) / 2
-
-
-def _log_unitaries(V: np.ndarray) -> np.ndarray:
-    """`_log_unitary` of each of a stack (m, d, d) of unitaries, from a batched
-    eig; a V whose eigenvectors are further than 1e-8 from orthonormal (a
-    nearly degenerate spectrum) takes the Schur form instead."""
     w, P = np.linalg.eig(V)
-    bad = np.flatnonzero(np.abs(P.conj().swapaxes(1, 2) @ P - np.eye(P.shape[-1])).max(axis=(1, 2)) > 1e-8)
-    P[bad] = np.eye(P.shape[-1])  # any invertible P: their H is replaced below
-    H = (P * np.angle(w)[:, None, :]) @ np.linalg.inv(P)
-    for k in bad:
-        H[k] = _log_unitary(V[k])
-    return (H + H.conj().swapaxes(1, 2)) / 2
+    Q = np.linalg.qr(P)[0]
+    H = (Q * np.angle(w)[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+    return (H + H.conj().swapaxes(-1, -2)) / 2
 
 
 def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -88,21 +77,22 @@ def lift_generator(H: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Gamma(V): the n-particle image of the d x d unitary V.
+    """Gamma(V): the n-particle image of the d x d unitary V, or of each of a
+    stack (..., d, d) of them.
 
     <l|Gamma(V)|k> = det V[l, k] for fermions, per V[l, k] normalized by
     sqrt(prod m_i(l)! prod m_j(k)!) for bosons, submatrices with rows/columns
-    repeated by multiplicity; evaluated as exp(i dGamma(-i log V)).  V must
-    be unitary within 1e-10 (InvalidSpec otherwise): the logarithm keeps only
-    the phases of its eigenvalues, so any other V would lift as a different
-    matrix.
+    repeated by multiplicity; evaluated as exp(i dGamma(-i log V)).  Every V
+    must be unitary within 1e-10 (InvalidSpec otherwise): the logarithm keeps
+    only the phases of its eigenvalues, so any other V would lift as a
+    different matrix.
     """
     V = np.asarray(V, dtype=complex)
-    if V.shape != (basis.d, basis.d):
+    if V.shape[-2:] != (basis.d, basis.d):
         raise DimensionMismatch(
             f"V has shape {V.shape}, basis has d={basis.d}"
         )
-    if not np.abs(V @ V.conj().T - np.eye(basis.d)).max() <= 1e-10:
+    if not np.abs(V @ V.conj().swapaxes(-1, -2) - np.eye(basis.d)).max() <= 1e-10:
         raise InvalidSpec("V is not unitary within 1e-10")
     return lift_generator(_log_unitary(V), basis)
 

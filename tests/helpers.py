@@ -59,6 +59,18 @@ def reference_lift(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     return T.conj().T @ tensor_power(V, basis.n) @ T
 
 
+def equal_quantumness_forms(rho: np.ndarray, basis: FockBasis, rotations) -> list:
+    """rho as given, its complex conjugate, and its image under the reference
+    lift of each of `rotations`: states of one quantumness, since Q is a
+    minimum over the whole single-particle group and the lift of conj(V) is
+    the conjugate of the lift of V."""
+    forms = [rho, rho.conj()]
+    for W in rotations:
+        G = reference_lift(W, basis)
+        forms.append(G @ rho @ G.conj().T)
+    return forms
+
+
 def coupling_unitary(D: int) -> np.ndarray:
     """The activation coupling U|s>|j> = |s>|j + s mod D> on the D*D joint
     space, built from its definition U = sum_s |s><s| (x) X^s with the cyclic

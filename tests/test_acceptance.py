@@ -277,8 +277,9 @@ def test_criterion_09_structural_invariants(capsys):
         worst["homomorphism"] = max(worst["homomorphism"], float(np.abs(
             lift_unitary(V @ W, basis) - G @ GW).max()))
         fam = build_family(V, basis)
+        # sum_k Pi_k = I, so the measurement channel fixes the identity
         worst["completeness"] = max(worst["completeness"], float(np.abs(
-            sum(fam.projectors) - np.eye(basis.size)).max()))
+            dephase(np.eye(basis.size), fam) - np.eye(basis.size)).max()))
         # a_i a+_j -/+ a+_j a_i = delta_ij on the (n-1)-particle sector,
         # with the second term routed through the (n-2)-particle sector
         lower = enumerate_basis(d, n - 1, stats)

@@ -156,7 +156,7 @@ def test_verify_rejects_off_pattern_states():
     # product with a coherent (non-diagonal) apparatus state
     sigma = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
     rho = np.diag([0.3, 0.7]).astype(complex)
-    js = JointState(2, 2, np.kron(rho, sigma))
+    js = JointState(2, np.kron(rho, sigma))
     ok, worst = verify_maximally_correlated(js)
     # largest off-pattern entry: rho_11 * sigma_00 at joint index (1,0),(1,0)
     assert not ok and worst == pytest.approx(0.7 * 0.5)
@@ -173,7 +173,7 @@ def test_hand_built_pattern_state_passes():
     for l in range(D):
         for lp in range(D):
             M[l * D + l, lp * D + lp] = chi[l, lp]
-    ok, worst = verify_maximally_correlated(JointState(3, 3, M))
+    ok, worst = verify_maximally_correlated(JointState(3, M))
     assert ok and worst == 0.0
 
 
@@ -181,7 +181,8 @@ def test_partial_trace_product_input():
     rho = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
     app = np.zeros((2, 2), dtype=complex)
     app[0, 0] = 1.0
-    js = JointState(2, 2, np.kron(rho, app))
+    js = JointState(2, np.kron(rho, app))
+    assert js.apparatus_dim == 2
     assert_allclose(partial_trace(js, Subsystem.SYSTEM), rho, atol=1e-15)
     assert_allclose(partial_trace(js, Subsystem.APPARATUS), app, atol=1e-15)
 
@@ -190,7 +191,7 @@ def test_entanglement_of_maximally_correlated_pure_pair():
     # (|0,0> + |2,2>)/sqrt2 on a 3x3 joint space
     joint = np.zeros(9, dtype=complex)
     joint[0] = joint[8] = 1 / math.sqrt(2)
-    js = JointState(3, 3, np.outer(joint, joint.conj()))
+    js = JointState(3, np.outer(joint, joint.conj()))
     assert entanglement_maxcorr(js) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -253,7 +254,7 @@ def test_verify_matches_mask_on_perturbed_joint(d, n, stats):
     M = js.matrix.copy()
     hits = rng.integers(M.shape[0], size=(2, 12))
     M[hits[0], hits[1]] += 1e-9 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    perturbed = JointState(js.system_dim, js.apparatus_dim, M)
+    perturbed = JointState(js.system_dim, M)
     ok, worst = verify_maximally_correlated(perturbed)
     assert worst == _mask_worst(perturbed) > 1e-10 and not ok
     assert verify_maximally_correlated(perturbed, tol=1e-6) == (True, worst)
@@ -358,7 +359,7 @@ def test_entanglement_matches_the_full_joint_checks(d, n, stats, case):
     D = basis.size
     js = run_protocol(rho, V, basis)
     M = _perturb(js.matrix.copy(), D, case, np.random.default_rng([d, n]))
-    perturbed = JointState(D, D, M)
+    perturbed = JointState(D, M)
     expected, error = _full_check_entanglement(perturbed)
     if error is None:
         assert entanglement_maxcorr(perturbed) == expected
@@ -374,10 +375,10 @@ def test_nan_off_the_pattern_fails_verification():
     for row, col in [(1, 0), (0, 1), (8, 5)]:  # off-pattern, in different slabs
         M = js.matrix.copy()
         M[row, col] = np.nan
-        ok, worst = verify_maximally_correlated(JointState(3, 3, M))
+        ok, worst = verify_maximally_correlated(JointState(3, M))
         assert not ok and math.isnan(worst)
         with pytest.raises(NotMaxCorrelated, match="nan"):
-            entanglement_maxcorr(JointState(3, 3, M))
+            entanglement_maxcorr(JointState(3, M))
 
 
 def test_non_finite_pattern_entry_is_an_invalid_state():
@@ -386,6 +387,6 @@ def test_non_finite_pattern_entry_is_an_invalid_state():
     basis, rho, V = _pin_input(3, 2, Statistics.FERMIONIC, "mixed")
     M = run_protocol(rho, V, basis).matrix.copy()
     M[4, 8] = np.nan
-    assert verify_maximally_correlated(JointState(3, 3, M)) == (True, 0.0)
+    assert verify_maximally_correlated(JointState(3, M)) == (True, 0.0)
     with pytest.raises(InvalidState, match=r"non-finite entry .* at \(1, 2\)"):
-        entanglement_maxcorr(JointState(3, 3, M))
+        entanglement_maxcorr(JointState(3, M))

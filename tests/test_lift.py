@@ -101,8 +101,9 @@ def test_lift_worked_example_rotation():
 
 def test_lift_dimension_mismatch():
     basis = enumerate_basis(3, 2, Statistics.BOSONIC)
-    with pytest.raises(DimensionMismatch):
-        lift_unitary(np.eye(2), basis)
+    for V in (np.eye(2), np.array([np.eye(2)] * 3), np.ones(3)):
+        with pytest.raises(DimensionMismatch):
+            lift_unitary(V, basis)
 
 
 # every public route from a caller's V to a lift, as f(rho, V, basis)
@@ -120,7 +121,8 @@ def test_lift_rejects_non_unitary_v(entry):
     # the logarithm keeps only eigenphases: diag(1, 2) would lift as the identity
     basis = enumerate_basis(2, 2, Statistics.BOSONIC)
     rho = random_density(basis.size, np.random.default_rng(6))
-    for V in (np.diag([1.0, 2.0]), np.full((2, 2), np.nan)):
+    # a stack is checked whole: one non-unitary member rejects it
+    for V in (np.diag([1.0, 2.0]), np.full((2, 2), np.nan), np.array([np.eye(2), np.diag([1.0, 2.0])])):
         with pytest.raises(InvalidSpec):
             LIFT_ENTRIES[entry](rho, V, basis)
 
@@ -143,6 +145,13 @@ def test_lift_of_a_stack_is_the_stack_of_lifts():
         for k in range(4):
             assert_allclose(obs[k], lift_observable(H[k], basis), atol=1e-13)
             assert_allclose(gens[k], lift_generator(H[k], basis), atol=1e-12)
+        # one V of every kind, lifted as one stack
+        V = np.array([make(d, rng) for make in V_KINDS.values()])
+        lifts = lift_unitary(V, basis)
+        assert lifts.shape == (len(V_KINDS), basis.size, basis.size)
+        for k in range(len(V_KINDS)):
+            assert_allclose(lifts[k], lift_unitary(V[k], basis), atol=1e-12)
+            assert_allclose(lifts[k], reference_lift(V[k], basis), atol=1e-12)
 
 
 def test_lift_observable_number_operator():

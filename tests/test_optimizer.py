@@ -212,8 +212,7 @@ def _objectives(rho, basis):
         return correlations._outcome_entropy(G, rho) - s_rho
 
     def geometric(G):
-        family = MeasurementFamily(G.conj().swapaxes(-1, -2))
-        return correlations._relative_entropy(rho, dephase(rho, family), s_rho)
+        return correlations._relative_entropy(rho, dephase(rho, MeasurementFamily(G)), s_rho)
 
     def condensate(G):
         return correlations._condensate_defect(rho, basis, G)
