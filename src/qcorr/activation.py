@@ -117,6 +117,8 @@ def verify_maximally_correlated(js: JointState, tol: float = 1e-10) -> tuple[boo
 
 def partial_trace(js: JointState, keep: Subsystem) -> np.ndarray:
     D = js.system_dim
+    if js.matrix.shape != (D * D, D * D):
+        raise DimensionMismatch(f"joint shape {js.matrix.shape} vs system dimension {D}")
     M = js.matrix.reshape(D, D, D, D)
     if keep is Subsystem.SYSTEM:
         return np.einsum("ajbj->ab", M)

@@ -21,8 +21,8 @@ from .lift import _haar_stack, _hopping, lift_observable, lift_unitary
 from .measurement import MeasurementFamily, _born_probabilities, dephase
 
 _EIG_CUT = 1e-12
-# bytes of the largest stacked array of a chunk of oracle draws or scan points, or of
-# the central differences of the descents of one lockstep round
+# bytes of the largest stacked array of a chunk of oracle draws, scan points or
+# lockstep descents
 _STACK_BYTES = 2**18
 # classify_report: Q at or below Q_TOL is class P; a condensate-mixture
 # defect at or below STRUCTURE_TOL is class C
@@ -85,6 +85,9 @@ def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float
 
 def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
     """d x d matrix R_ij = Tr(rho a+_i a_j)."""
+    rho = np.asarray(rho)
+    if rho.shape != (basis.size, basis.size):
+        raise DimensionMismatch(f"state shape {rho.shape} vs basis size {basis.size}")
     R = np.einsum("ijab,ba->ij", _hopping(basis.d, basis.n, basis.statistics), rho)
     return (R + R.conj().T) / 2
 
@@ -155,7 +158,6 @@ _ARMIJO = 1e-4
 _HALVINGS = 20
 _ROUNDING = 1e-12  # a step predicted to gain less than this fraction of the value
 _FIRST_STEP = 0.1  # largest generator entry of a descent's first trial step
-_FD_STEP = 1e-5  # central differences for the objectives without a gradient
 # The escape scan turns each mode plane i < j by exp(i theta X), X = z E_ij + h.c.,
 # at four phases z: with only the unit coordinates (z = 1, i) a two-mode
 # superposition whose relative phase sits between them stays trapped.  A
@@ -182,15 +184,15 @@ def _units(d: int) -> np.ndarray:
     return X.reshape(2 * rows.size, d * d)
 
 
-def _stack_chunk(basis: FockBasis, points: int = 1) -> int:
-    """Stack entries of `points` complex max(d, D)^2 matrices within _STACK_BYTES."""
-    return max(1, _STACK_BYTES // (16 * points * max(basis.d, basis.size) ** 2))
+def _stack_chunk(basis: FockBasis) -> int:
+    """Stack entries of complex max(d, D)^2 matrices within _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (16 * max(basis.d, basis.size) ** 2))
 
 
 @lru_cache(maxsize=None)
 def _planes(basis: FockBasis) -> tuple[np.ndarray, ...]:
     """Read-only stacked eigendecompositions (w, u) of the scan generators X and
-    (W, U) of dGamma(X), by plane then phase; every second X is a unit coordinate."""
+    (W, U) of dGamma(X), by plane then phase."""
     m = basis.d * basis.d - basis.d
     x, k = np.zeros((m // 2, len(_SCAN_PHASES), m)), np.arange(m // 2)
     x[k, :, 2 * k], x[k, :, 2 * k + 1] = np.real(_SCAN_PHASES), np.imag(_SCAN_PHASES)
@@ -199,19 +201,6 @@ def _planes(basis: FockBasis) -> tuple[np.ndarray, ...]:
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def _central_differences(objective, basis: FockBasis):
-    """Central differences of `objective` along the unit generators, one call per stack."""
-    W, U = (a[::2] for a in _planes(basis)[2:])
-    B = U * np.exp(1j * np.array([_FD_STEP, -_FD_STEP])[:, None, None] * W)[..., None, :]
-    Uh = U.conj().swapaxes(1, 2)
-
-    def gradient(G):  # points (..., 2, d^2 - d, D, D): one axis for +-, one per coordinate
-        values = objective(B @ (Uh @ G[..., None, :, :])[..., None, :, :, :])
-        return (values[..., 0, :] - values[..., 1, :]) / (2 * _FD_STEP)
-
-    return gradient
 
 
 def _direction(g: np.ndarray, mem: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -348,14 +337,14 @@ def _scan(objective, basis: FockBasis, V: np.ndarray):
 
 
 def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: OptimizerConfig,
-                         gradient=None):
+                         gradient):
     """Shared multistart driver: returns (best value, best V, the value of
     every descent in order); a best value in (-1e-9, 0] is reported as +0.0.
 
     objective(G) takes lifts G = Gamma(V), or a stack of them (..., D, D),
     and must be nonnegative; it sees V only through G, so it is unchanged by
     V -> D V for diagonal unitary D.  gradient(G) returns its coordinates
-    (..., d^2 - d) along V -> exp(itX) V (central differences by default).
+    (..., d^2 - d) along V -> exp(itX) V.
     One descent starts at `start`, then DESCENTS_PER_RESTART * cfg.restarts - 1
     at Haar samples from cfg.seed, as wide a lockstep as _STACK_BYTES allows,
     until one reaches cfg.tol.  A point where some outcome probability vanishes
@@ -367,12 +356,11 @@ def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: Op
     if basis.d == 1:  # every V is a phase: no direction to descend along or scan
         V, values, budget = start[None], objective(lift_unitary(start, basis)[None]), 0
     else:
-        width = min(_WIDTH, _stack_chunk(basis, 1 if gradient else 2 * (basis.d * basis.d - basis.d)))
-        gradient = gradient or _central_differences(objective, basis)
         V, values = _descend(objective, gradient, basis, start[None], cfg)
         if values[-1] > cfg.tol:
             starts = _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)
-            V_h, values_h = _descend(objective, gradient, basis, starts, cfg, width)
+            V_h, values_h = _descend(objective, gradient, basis, starts, cfg,
+                                     min(_WIDTH, _stack_chunk(basis)))
             V, values = np.concatenate((V, V_h)), np.concatenate((values, values_h))
     values = [float(v) for v in values]
     k = int(np.argmin(values))  # the first of equal values
@@ -387,7 +375,12 @@ def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: Op
         values.append(float(value[0]))
         if values[-1] < best:
             best, best_v = values[-1], V1[0]
-    return 0.0 if -1e-9 < best <= 0.0 else best, best_v, tuple(values)
+    return _positive_zero(best), best_v, tuple(values)
+
+
+def _positive_zero(value: float) -> float:
+    """A minimum in (-1e-9, 0], which only rounding puts below zero, as +0.0."""
+    return 0.0 if -1e-9 < value <= 0.0 else value
 
 
 def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
@@ -397,23 +390,67 @@ def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
     return ordered[1] - ordered[0] <= 1e-4
 
 
-def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
-    """Derivative coordinates of H(diag G rho G+) along V -> exp(itX) V:
-    dH = Re <g, X> with g_ij = Tr(E_ji (-iC)), C_ab = sigma_ab (l_b - l_a),
-    sigma = G rho G+, l = log p and E the hopping tensor, returned as the
-    coordinates 2 (Re g_ij, Im g_ij) of the pairs i < j.  |sigma_ab|^2 <=
-    p_a p_b keeps C bounded as p -> 0, where p is clipped at 1e-300."""
+# Every objective reaches V through tau = G rho G+, and along V -> exp(itX) V its
+# derivative is Tr(dGamma(X) (-iC)) for a D x D matrix C of its own; with E the
+# hopping tensor, dGamma(X) = sum_ij X_ij E_ij gives coordinate (2k, 2k + 1) of the
+# k-th pair i < j as 2 (Re, Im) Tr(E_ji (-iC)).
+@lru_cache(maxsize=None)
+def _coordinate_table(basis: FockBasis) -> np.ndarray:
+    """Read-only F, column k: -2i E_ji of the k-th pair i < j, transposed and
+    flattened, so that C.ravel() @ F = 2 Tr(E_ji (-iC))."""
     rows, cols = _pairs(basis.d)
-    # column k: 2 (-i) E_ji transposed and flattened, so that C.ravel() @ F = 2 g
     E = _hopping(basis.d, basis.n, basis.statistics)
-    F = (-2j * E[cols, rows]).swapaxes(1, 2).reshape(-1, rho.size).T
+    F = (-2j * E[cols, rows]).swapaxes(1, 2).reshape(-1, basis.size ** 2).T
+    F.flags.writeable = False
+    return F
+
+
+def _coordinates(C: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The gradient coordinates (..., d^2 - d) of the matrices C (..., D, D), F
+    the sector's `_coordinate_table`."""
+    # a unit axis per row keeps each row's products, so its rounding, the same in any stack
+    return (C.reshape(C.shape[:-2] + (1, C.shape[-1] ** 2)) @ F)[..., 0, :].view(float)
+
+
+def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
+    """Gradient of H(diag G rho G+): C_ab = tau_ab (l_b - l_a), l = log p and
+    p = diag tau clipped at 1e-300, where |tau_ab|^2 <= p_a p_b keeps C bounded."""
+    F = _coordinate_table(basis)
 
     def gradient(G):
-        sigma = (G @ rho) @ G.conj().swapaxes(-1, -2)
-        log_p = np.log(np.maximum(np.diagonal(sigma, axis1=-2, axis2=-1).real, 1e-300))
-        C = sigma * (log_p[..., None, :] - log_p[..., :, None])
-        # the complex 2 g as its (real, imaginary) pairs
-        return (C.reshape(C.shape[:-2] + (1, rho.size)) @ F)[..., 0, :].view(float)
+        tau = (G @ rho) @ G.conj().swapaxes(-1, -2)
+        log_p = np.log(np.maximum(np.diagonal(tau, axis1=-2, axis2=-1).real, 1e-300))
+        return _coordinates(tau * (log_p[..., None, :] - log_p[..., :, None]), F)
+
+    return gradient
+
+
+def _geometric_gradient(rho: np.ndarray, basis: FockBasis):
+    """Gradient of S(rho || Delta), Delta = dephase(rho, MeasurementFamily(G)):
+    C = [Y, diag p] + [tau, diag Y], p = diag tau and Y = G Dlog_Delta[rho] G+.
+    The derivative of the logarithm is taken by Daleckii-Krein in the eigenbasis
+    of Delta (Higham, Functions of Matrices, SIAM 2008, ch. 3), whose eigenvalues
+    at or below _EIG_CUT get a divided difference of 0, as `_relative_entropy`
+    gives them zero weight.  No Shannon entropy of p is formed."""
+    F = _coordinate_table(basis)
+
+    def gradient(G):
+        Gh = G.conj().swapaxes(-1, -2)
+        tau = (G @ rho) @ Gh
+        p = np.diagonal(tau, axis1=-2, axis2=-1).real
+        sigma = dephase(rho, MeasurementFamily(G))
+        mu, U = np.linalg.eigh((sigma + sigma.conj().swapaxes(-1, -2)) / 2)
+        live = mu > _EIG_CUT
+        mu = np.where(live, mu, 1.0)
+        # (log mu_a - log mu_b) / (mu_a - mu_b) = log1p(x) / (x mu_b), x = mu_a / mu_b - 1
+        x = (mu[..., :, None] - mu[..., None, :]) / mu[..., None, :]
+        ratio = np.where(x == 0.0, 1.0, np.log1p(x) / np.where(x == 0.0, 1.0, x))
+        L = np.where(live[..., :, None] & live[..., None, :], ratio / mu[..., None, :], 0.0)
+        Uh = U.conj().swapaxes(-1, -2)
+        Y = (G @ U) @ (L * (Uh @ rho @ U)) @ (Uh @ Gh)
+        y = np.diagonal(Y, axis1=-2, axis2=-1).real
+        C = Y * (p[..., None, :] - p[..., :, None]) + tau * (y[..., None, :] - y[..., :, None])
+        return _coordinates(C, F)
 
     return gradient
 
@@ -456,7 +493,8 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
 
     A stochastic upper bound on the true quantumness, deterministic per seed;
     converges from above as the sample count grows (slowly — the search space
-    has d^2 - d transverse dimensions).  The V are those of `samples`
+    has d^2 - d transverse dimensions).  Values in (-1e-9, 0] are reported as
+    +0.0, as `quantumness` reports them.  The V are those of `samples`
     successive haar_random_unitary(d, seed) calls, in the same order, but
     drawn and lifted a chunk at a time as stacks: each stacked array holds at
     most _STACK_BYTES, whatever the sample count.
@@ -473,7 +511,7 @@ def quantumness_oracle(rho: np.ndarray, basis: FockBasis, samples: int, seed) ->
     for start in range(0, samples, chunk):
         V = _haar_stack(basis.d, rng, min(chunk, samples - start))
         best = min(best, _outcome_entropy(lift_unitary(V, basis), rho).min())
-    return float(best - s_rho)
+    return _positive_zero(float(best - s_rho))
 
 
 def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfig = OptimizerConfig()) -> float:
@@ -484,8 +522,9 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     is S(rho || Delta_V(rho)) computed through eigendecompositions, where
     Delta_V is `dephase` by the family of V, which pinches in the basis
     Gamma(V)+|k> that projected_entropy measures in; the pinching identity
-    makes it equal projected_entropy(rho, V) - S(rho) at every V.  It has no gradient
-    of its own, so the search takes central differences of its values.
+    makes it equal projected_entropy(rho, V) - S(rho) at every V.  Its gradient
+    goes through the derivative of the matrix logarithm at Delta_V(rho), never
+    through the outcome entropy.
     """
     rho = np.asarray(rho, dtype=complex)
     s_rho = shannon_entropy(check_density_matrix(rho, dim=basis.size))
@@ -493,7 +532,8 @@ def geometric_quantumness(rho: np.ndarray, basis: FockBasis, cfg: OptimizerConfi
     def objective(G):
         return _relative_entropy(rho, dephase(rho, MeasurementFamily(G)), s_rho)
 
-    return _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg)[0]
+    return _minimize_over_group(objective, basis, _natural_orbitals(rho, basis)[1], cfg,
+                                _geometric_gradient(rho, basis))[0]
 
 
 @dataclass(frozen=True)
@@ -547,9 +587,27 @@ def _condensate_defect(rho: np.ndarray, basis: FockBasis, G: np.ndarray) -> np.n
     """Squared Frobenius distance from G rho G+, G a lifted rotation or a stack
     of them, to the nearest diagonal state on all-particles-in-one-mode labels."""
     X = G @ rho @ G.conj().swapaxes(-1, -2)
-    k = [basis.index_of((i,) * basis.n) for i in range(basis.d) if (i,) * basis.n in basis]
+    k = _condensate_labels(basis)
     X[..., k, k] -= X[..., k, k].real
     return (X.view(float) ** 2).sum(axis=(-2, -1))
+
+
+def _condensate_labels(basis: FockBasis) -> list[int]:
+    return [basis.index_of((i,) * basis.n) for i in range(basis.d) if (i,) * basis.n in basis]
+
+
+def _condensate_gradient(rho: np.ndarray, basis: FockBasis):
+    """Gradient of `_condensate_defect`: C_ab = 2 tau_ab (r_b - r_a), r the
+    diagonal of tau = G rho G+ on the condensate labels and 0 elsewhere."""
+    k, F = _condensate_labels(basis), _coordinate_table(basis)
+
+    def gradient(G):
+        tau = (G @ rho) @ G.conj().swapaxes(-1, -2)
+        r = np.zeros(tau.shape[:-1])
+        r[..., k] = np.diagonal(tau, axis1=-2, axis2=-1)[..., k].real
+        return _coordinates(2 * tau * (r[..., None, :] - r[..., :, None]), F)
+
+    return gradient
 
 
 def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
@@ -574,7 +632,7 @@ def _is_condensate_mixture(rho: np.ndarray, basis: FockBasis,
     def objective(G):
         return _condensate_defect(rho, basis, G)
 
-    best, _, _ = _minimize_over_group(objective, basis, V, cfg)
+    best, _, _ = _minimize_over_group(objective, basis, V, cfg, _condensate_gradient(rho, basis))
     return best <= STRUCTURE_TOL ** 2, math.sqrt(min(defect, best))
 
 

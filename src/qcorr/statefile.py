@@ -139,12 +139,14 @@ def parse_state_text(text: str) -> ParsedState:
             if missing:
                 raise _error_at(f"body begins before header keys {missing} are set",
                                 lineno, code, 0)
-            try:
-                d = int(header["d"])
-                n = int(header["n"])
-            except ValueError:
-                raise StateFileError("d and n must be integers",
-                                     header_lines.get("d", lineno)) from None
+            sizes = {}
+            for key in ("d", "n"):
+                try:
+                    sizes[key] = int(header[key])
+                except ValueError:
+                    raise StateFileError(f"d and n must be integers, got {key} {header[key]!r}",
+                                         header_lines[key]) from None
+            d, n = sizes["d"], sizes["n"]
             if n < 1:
                 raise StateFileError(f"need n >= 1, got n={n}", header_lines["n"])
             stats = header["statistics"].lower()

@@ -133,6 +133,18 @@ def two_fermion_quantumness(psi: np.ndarray, states, d: int) -> float:
     return float(-(lam * np.log(lam)).sum())
 
 
+def hole_image(psi: np.ndarray, states, d: int):
+    """Particle-hole image of a fermionic state with amplitudes psi on the
+    occupations `states` (tuples of increasing modes): |S> -> sign |S^c>, S^c
+    the modes S leaves empty and sign the parity of the permutation that lists
+    S and then S^c.  It intertwines the lift of V with det(V) times the lift of
+    conj(V), so a state and its image have one quantumness.  Returns the
+    image's amplitudes and occupations, in the order of `states`."""
+    holes = [tuple(m for m in range(d) if m not in S) for S in states]
+    signs = [perm_parity(S + H) for S, H in zip(states, holes)]
+    return np.asarray(psi) * signs, holes
+
+
 def count_eigvalsh(monkeypatch) -> list:
     """Record the shape of every np.linalg.eigvalsh call from now on."""
     calls = []

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import qcorr.activation
 from qcorr import (
+    DimensionMismatch,
     InvalidDimension,
     InvalidState,
     JointState,
@@ -185,6 +186,14 @@ def test_partial_trace_product_input():
     assert js.apparatus_dim == 2
     assert_allclose(partial_trace(js, Subsystem.SYSTEM), rho, atol=1e-15)
     assert_allclose(partial_trace(js, Subsystem.APPARATUS), app, atol=1e-15)
+
+
+def test_partial_trace_rejects_a_joint_of_the_wrong_shape():
+    # (2, 8) has the 16 entries of a D = 2 joint, so only a shape check catches it
+    for M in (np.eye(3, dtype=complex), np.zeros((2, 8), dtype=complex)):
+        for keep in Subsystem:
+            with pytest.raises(DimensionMismatch):
+                partial_trace(JointState(2, M), keep)
 
 
 def test_entanglement_of_maximally_correlated_pure_pair():

@@ -1,6 +1,6 @@
 """The local solver under every minimization: L-BFGS on U(d), re-centred at
-each step, with the analytic gradient for `quantumness`, an escape scan out
-of the -p log p traps, and a frozen regression panel."""
+each step, with an analytic gradient for each searched objective, an escape
+scan out of the -p log p traps, and a frozen regression panel."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,9 +17,10 @@ from qcorr import (
     make_classical_state,
     projected_entropy,
     quantumness,
+    relative_entropy,
 )
 from qcorr import correlations
-from qcorr.measurement import MeasurementFamily, dephase
+from qcorr.measurement import MeasurementFamily, build_family, dephase
 
 from helpers import random_density, random_pure, two_loop
 
@@ -43,22 +44,48 @@ GRADIENT_SECTORS = [(2, 2, B), (3, 2, B), (4, 2, F), (5, 2, F),
                     (2, 3, B), (3, 3, B), (5, 3, F), (2, 4, B)]
 
 
+# each gradient and the objective it is differenced against, as a function of
+# (rho, V, basis); the geometric one goes through the dephased state, never
+# through the entropy route
+GRADIENTS = {
+    "entropy": (correlations._entropy_gradient, projected_entropy),
+    "geometric": (correlations._geometric_gradient,
+                  lambda rho, V, basis: relative_entropy(rho, dephase(rho, build_family(V, basis)))),
+    "condensate": (correlations._condensate_gradient,
+                   lambda rho, V, basis: correlations._condensate_defect(rho, basis,
+                                                                         lift_unitary(V, basis))),
+}
+
+
 @pytest.mark.parametrize("sector", GRADIENT_SECTORS,
                          ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
-def test_entropy_gradient_matches_central_differences(sector):
-    # one pure and one rank-2 state per sector; the differences are taken of
-    # the public projected_entropy along exp(+-ihX) V, built with expm
+@pytest.mark.parametrize("name", list(GRADIENTS))
+def test_gradient_matches_central_differences(name, sector):
+    # one pure and one rank-2 state per sector; the differences are taken
+    # along exp(+-ihX) V, built with expm
+    make_gradient, f = GRADIENTS[name]
     basis = enumerate_basis(*sector)
     d, h = basis.d, 1e-5
     rng = np.random.default_rng([d, basis.n])
     psi = random_pure(basis.size, rng)
     for rho in (np.outer(psi, psi.conj()), random_density(basis.size, rng, rank=2)):
         V = haar_random_unitary(d, rng)
-        grad = correlations._entropy_gradient(rho, basis)(lift_unitary(V, basis))
-        diff = [(projected_entropy(rho, expm(1j * h * X) @ V, basis)
-                 - projected_entropy(rho, expm(-1j * h * X) @ V, basis)) / (2 * h)
+        grad = make_gradient(rho, basis)(lift_unitary(V, basis))
+        diff = [(f(rho, expm(1j * h * X) @ V, basis) - f(rho, expm(-1j * h * X) @ V, basis)) / (2 * h)
                 for X in _plane_generators(d)]
         assert np.abs(grad - diff).max() <= 2e-8
+
+
+def test_geometric_gradient_vanishes_where_the_dephased_state_has_a_kernel():
+    # at the natural orbitals of a classical state the dephased state is the
+    # state itself, of rank 2 in D = 6; its kernel gets no divided difference,
+    # where a clipped logarithm would give a huge or overflowing gradient
+    basis = enumerate_basis(4, 2, F)
+    W = haar_random_unitary(4, np.random.default_rng(19))
+    rho = make_classical_state(ClassicalStateSpec(np.array([0.4, 0.6]), W, ((0, 1), (2, 3))), basis)
+    G = lift_unitary(correlations._natural_orbitals(rho, basis)[1], basis)
+    grad = correlations._geometric_gradient(rho, basis)(G)
+    assert np.all(np.isfinite(grad)) and np.abs(grad).max() <= 1e-12
 
 
 def test_gradient_vanishes_along_the_torus():
@@ -204,8 +231,7 @@ def test_compact_direction_matches_the_two_loop_recursion():
 
 def _objectives(rho, basis):
     """The three searched objectives on rho, each with the gradient its
-    minimization uses: the entropy with its own, the geometric and the
-    condensate objectives with central differences."""
+    minimization uses."""
     s_rho = correlations.shannon_entropy(np.linalg.eigvalsh(rho))
 
     def entropy(G):
@@ -218,8 +244,8 @@ def _objectives(rho, basis):
         return correlations._condensate_defect(rho, basis, G)
 
     return {"entropy": (entropy, correlations._entropy_gradient(rho, basis)),
-            "geometric": (geometric, correlations._central_differences(geometric, basis)),
-            "condensate": (condensate, correlations._central_differences(condensate, basis))}
+            "geometric": (geometric, correlations._geometric_gradient(rho, basis)),
+            "condensate": (condensate, correlations._condensate_gradient(rho, basis))}
 
 
 LOCKSTEP_SECTORS = [(2, 2, B), (4, 2, F), (3, 3, B), (5, 3, F)]

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from qcorr import (
     Classification,
     ClassicalStateSpec,
+    DimensionMismatch,
     InvalidSpec,
     InvalidState,
     OptimizerConfig,
@@ -41,6 +42,7 @@ from qcorr.correlations import _stack_chunk
 from helpers import (
     count_eigvalsh,
     equal_quantumness_forms,
+    hole_image,
     plus_minus_rotation,
     random_density,
     random_pure,
@@ -121,9 +123,12 @@ def test_entropies_of_a_point_mass_are_positive_zero():
     pure = np.diag([0.0, 1.0, 0.0]).astype(complex)
     # rounding can put a point mass at 1 + 2**-52, whose -p log p is negative;
     # the one state of a D = 1 sector is a point mass whatever the rotation,
-    # and its relative entropy to itself comes out of the eigenvalues as -0.0
+    # and its relative entropy to itself comes out of the eigenvalues as -0.0;
+    # the oracle's best draw on I/6 in (4,2,F) rounds to -6.7e-16
     one_state = [(np.eye(1, dtype=complex), enumerate_basis(d, d, Statistics.FERMIONIC)) for d in (2, 3)]
+    mixed = np.eye(6, dtype=complex) / 6
     for value in (shannon_entropy([1.0]), shannon_entropy([1 + 2**-52]), von_neumann_entropy(pure),
+                  quantumness_oracle(mixed, enumerate_basis(4, 2, Statistics.FERMIONIC), 10, seed=0),
                   *(quantumness(rho, basis, OptimizerConfig(restarts=1)).q_value for rho, basis in one_state),
                   *(geometric_quantumness(rho, basis, OptimizerConfig(restarts=1)) for rho, basis in one_state)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -484,6 +489,13 @@ def test_one_particle_rdm_transforms_covariantly():
     assert_allclose(R1, R2, atol=1e-10)
 
 
+def test_one_particle_rdm_rejects_a_state_of_the_wrong_size():
+    basis = enumerate_basis(4, 2, Statistics.FERMIONIC)
+    for rho in (np.eye(5) / 5, np.full(6, 1 / 6)):
+        with pytest.raises(DimensionMismatch):
+            one_particle_rdm(rho, basis)
+
+
 # ---------- classification ----------
 
 def test_classify_condensate_is_classical():
@@ -584,3 +596,24 @@ def test_three_mode_two_fermion_sector_is_classical():
     for k in range(8):
         rho = random_density(basis.size, rng)
         assert quantumness(rho, basis, OptimizerConfig(restarts=3, seed=k)).q_value <= 1e-8
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_one_hole_sectors_are_classical(d):
+    # particle-hole: a (d, d-1, F) state is a one-particle state of its hole,
+    # which is diagonal in the eigenbasis of its own density matrix
+    basis = enumerate_basis(d, d - 1, F)
+    rng = np.random.default_rng([d, 101])
+    psi = random_pure(basis.size, rng)
+    for k, rho in enumerate((np.outer(psi, psi.conj()), random_density(basis.size, rng, rank=3))):
+        assert quantumness(rho, basis, OptimizerConfig(restarts=2, seed=k)).q_value <= 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_two_hole_pure_states_match_their_hole_pair(d):
+    # particle-hole: a pure (d, d-2, F) state has the quantumness of its
+    # two-fermion hole image, whose closed form is the Slater-weight entropy
+    basis = enumerate_basis(d, d - 2, F)
+    psi = random_pure(basis.size, np.random.default_rng([d, 102]))
+    q = quantumness(np.outer(psi, psi.conj()), basis, OptimizerConfig(restarts=2, seed=d)).q_value
+    assert abs(q - two_fermion_quantumness(*hole_image(psi, basis.states, d), d)) <= 1e-9

@@ -117,6 +117,14 @@ def test_error_positions():
     assert exc.value.column == 11
     assert "oops" in str(exc.value)
 
+    # a header value that is not an integer: the line of its own key
+    for header, line, bad in (("d 3\nn x", 2, "n 'x'"), ("n 2\nd 3.5", 2, "d '3.5'"),
+                              ("d y\nn x", 1, "d 'y'")):
+        text = header + "\nstatistics fermionic\nrepresentation pure\n0,1 1.0 0.0\n"
+        with pytest.raises(StateFileError, match=f"must be integers, got {bad}") as exc:
+            parse_state_text(text)
+        assert exc.value.line == line
+
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "NaN"])
 @pytest.mark.parametrize("representation,row,column", [("pure", "0 1.0 {}", 7),
