@@ -55,7 +55,6 @@ from .fock import (
 )
 from .lift import (
     haar_random_unitary,
-    lift_generator,
     lift_observable,
     lift_unitary,
 )

@@ -241,8 +241,7 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
     def join():  # the next starts join the running descents, a row each, up to `width` rows
         nonlocal live, joined
         k = np.arange(joined, min(joined + width - (live.order.size if live else 0), closer + 1, m))
-        # a unit axis per row keeps each row's products, so its rounding, the same in any stack
-        G = lift_unitary(V[k][:, None], basis)[:, 0]
+        G = lift_unitary(V[k], basis)
         rows = dict(order=k, V=V[k], G=G, value=objective(G), g=gradient(G),
                     mem=np.zeros((k.size, _MEMORY, 2, n)), count=np.zeros(k.size, int),
                     iters=np.zeros(k.size, int))

@@ -98,16 +98,10 @@ def creation_matrix(mode: int, from_basis: FockBasis, to_basis: FockBasis) -> np
     A = np.zeros((to_basis.size, from_basis.size))
     fermionic = from_basis.statistics is Statistics.FERMIONIC
     for col, occ in enumerate(from_basis.states):
-        if fermionic:
-            if mode in occ:
-                continue
-            sign = -1.0 if sum(1 for m in occ if m < mode) % 2 else 1.0
-            target = tuple(sorted(occ + (mode,)))
-            A[to_basis.index_of(target), col] = sign
-        else:
-            m = occ.count(mode)
-            target = tuple(sorted(occ + (mode,)))
-            A[to_basis.index_of(target), col] = math.sqrt(m + 1)
+        if not (fermionic and mode in occ):
+            row = to_basis.index_of(tuple(sorted(occ + (mode,))))
+            A[row, col] = ((-1.0) ** sum(m < mode for m in occ) if fermionic
+                           else math.sqrt(occ.count(mode) + 1))
     return A
 
 

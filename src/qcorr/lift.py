@@ -1,18 +1,17 @@
 """Lift single-particle unitaries and observables to the n-particle sector.
 
-The lift goes through the Lie algebra.  Second quantization gives
-Gamma(exp(iH)) = exp(i dGamma(H)) with dGamma(H) = sum_ij H_ij a+_i a_j, so
-the lifted unitary on the (anti)symmetric subspace is one D x D Hermitian
-exponential of a contraction of H with the sector's hopping tensor
-E[i, j] = a+_i a_j.  An arbitrary V enters through a Hermitian logarithm
-H = -i log V; every such logarithm gives the same lift.  Rows are indexed by
-the output occupation vector, columns by the input one, which makes Gamma a
-group homomorphism with Gamma(V) = V on the one-particle sector.  The entries
-equal the determinants (fermions) or normalized permanents (bosons) of
-submatrices of V, but no such minor is evaluated here.
+Gamma(V) a+_i Gamma(V)+ = sum_l V_li a+_l gives Gamma(V) one particle level at a
+time from Gamma_1 = V: with i the lowest occupied mode of the input occupation
+k, and k-i, a-l the occupations less one particle in i, l,
+    Gamma_n(V)[a, k] = m_i(k)^(-1/2) sum_{l in a} c_l(a) V[l, i] Gamma_{n-1}(V)[a-l, k-i],
+where c_l(a) = <a|a+_l|a-l> is a fermion sign or the boson factor sqrt(m_l(a)):
+the Laplace expansion of each entry, a determinant (fermions) or normalized
+permanent (bosons) of V, along its first column.  Rows are output occupations,
+columns input ones, so Gamma is a homomorphism and Gamma(V) = V for n = 1.
 """
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -39,26 +38,33 @@ def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
     return E
 
 
-def _log_unitary(V: np.ndarray) -> np.ndarray:
-    """A Hermitian H with exp(iH) = V for a unitary V, or for each of a stack
-    (..., d, d) of them, with the phases on the principal branch (-pi, pi].
-
-    V is normal, so eig's eigenvectors of distinct eigenvalues are orthogonal
-    up to rounding; QR orthonormalizes them, which only mixes those of (nearly)
-    repeated eigenvalues, where any orthonormal choice gives the same H.
-    """
-    w, P = np.linalg.eig(V)
-    Q = np.linalg.qr(P)[0]
-    H = (Q * np.angle(w)[..., None, :]) @ Q.conj().swapaxes(-1, -2)
-    return (H + H.conj().swapaxes(-1, -2)) / 2
+@lru_cache(maxsize=None)
+def _level(d: int, n: int, statistics: Statistics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the step to n >= 2 particles, slot t < min(n, d) of row
+    a holding the t-th distinct mode l of a (weight zero past the last):
+    Gamma_n[a, k] = sum_t W.flat[P[t, a, k]] Gamma_{n-1}.flat[Q[t, a, k]] for
+    W = w (x) V, w listing the weights c_l(a) m_i(k)^(-1/2)."""
+    basis, lower = enumerate_basis(d, n, statistics), enumerate_basis(d, n - 1, statistics)
+    create = np.array([creation_matrix(l, lower, basis) for l in range(d)]).transpose(1, 0, 2)
+    a, l, b = np.nonzero(create)  # row a, mode l and row a-l, by a then l
+    t = np.arange(a.size) - np.searchsorted(a, a)
+    L, A = np.zeros((2, min(n, d), basis.size), dtype=np.intp)
+    c = np.zeros(L.shape)
+    L[t, a], A[t, a], c[t, a] = l, b, create[a, l, b]
+    # slot 0 of column k is its lowest mode i, with a+_i |k-i> = c[0, k] |k> = sqrt(m_i(k)) |k>
+    w, code = np.unique(c[:, :, None] / c[0], return_inverse=True)
+    P = (code.reshape(-1, basis.size, basis.size) * d + L[:, :, None]) * d + L[0]
+    Q = A[:, :, None] * lower.size + A[0]
+    for x in (w, P, Q):
+        x.flags.writeable = False
+    return w, P, Q
 
 
 def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Second-quantized one-body operator dGamma(M) = sum_ij M_ij a+_i a_j on
-    the n-sector; M may be a stack (..., d, d), giving (..., D, D).
-
-    Hermitian for Hermitian M; its eigenvalues are sums of n eigenvalues of M
-    (with repetition rules set by the statistics).
+    the n-sector, a contraction with the hopping tensor; M may be a stack
+    (..., d, d), giving (..., D, D).  Hermitian for Hermitian M; its eigenvalues
+    are sums of n eigenvalues of M (with repetition rules set by the statistics).
     """
     M = np.asarray(M, dtype=complex)
     d = basis.d
@@ -69,32 +75,30 @@ def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
     return (M.reshape(*lead, d * d) @ E.reshape(d * d, -1)).reshape(*lead, *E.shape[2:])
 
 
-def lift_generator(H: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Gamma(exp(iH)) = exp(i dGamma(H)) for a Hermitian d x d generator H, or
-    for each of a stack (..., d, d) of them."""
-    w, U = np.linalg.eigh(lift_observable(H, basis))
-    return (U * np.exp(1j * w)[..., None, :]) @ U.conj().swapaxes(-1, -2)
-
-
 def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Gamma(V): the n-particle image of the d x d unitary V, or of each of a
-    stack (..., d, d) of them.
-
-    <l|Gamma(V)|k> = det V[l, k] for fermions, per V[l, k] normalized by
-    sqrt(prod m_i(l)! prod m_j(k)!) for bosons, submatrices with rows/columns
-    repeated by multiplicity; evaluated as exp(i dGamma(-i log V)).  Every V
-    must be unitary within 1e-10 (InvalidSpec otherwise): the logarithm keeps
-    only the phases of its eigenvalues, so any other V would lift as a
-    different matrix.
+    stack (..., d, d) of them, by the recursion of the module docstring, one
+    level of gathers and elementwise products per particle.  Every V must be
+    unitary within 1e-10 (InvalidSpec otherwise): the recursion would lift any
+    matrix, and only a unitary's lift is a rotation of the sector.
     """
     V = np.asarray(V, dtype=complex)
-    if V.shape[-2:] != (basis.d, basis.d):
-        raise DimensionMismatch(
-            f"V has shape {V.shape}, basis has d={basis.d}"
-        )
-    if not np.abs(V @ V.conj().swapaxes(-1, -2) - np.eye(basis.d)).max() <= 1e-10:
+    d, lead = basis.d, V.shape[:-2]
+    if V.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"V has shape {V.shape}, basis has d={d}")
+    if not np.abs(V @ V.conj().swapaxes(-1, -2) - np.eye(d)).max(initial=0.0) <= 1e-10:
         raise InvalidSpec("V is not unitary within 1e-10")
-    return lift_generator(_log_unitary(V), basis)
+    m = V.size // (d * d)
+    G = V.reshape(m, d, d).copy() if basis.n else np.ones((m, 1, 1), dtype=complex)
+    for n in range(2, basis.n + 1):
+        w, P, Q = _level(d, n, basis.statistics)
+        # out of place: numpy rounds an in-place product of one complex pair without fused multiply-add
+        terms = (np.take((w[:, None] * V.reshape(m, 1, d * d)).reshape(m, w.size * d * d), P, axis=1)
+                 * np.take(G.reshape(m, G.shape[-1] ** 2), Q, axis=1))
+        G = terms[:, 0]
+        for t in range(1, len(P)):  # in a fixed order, so a row rounds alike in any stack
+            G = G + terms[:, t]
+    return G.reshape(*lead, basis.size, basis.size)
 
 
 def _haar_stack(d: int, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -111,5 +115,8 @@ def _haar_stack(d: int, rng: np.random.Generator, m: int) -> np.ndarray:
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: QR of a complex Ginibre matrix with the
-    R diagonal phase-fixed.  `seed` is an integer or a numpy Generator."""
+    R diagonal phase-fixed.  `seed` is a nonnegative integer or a numpy
+    Generator; an integer d < 1 or a negative seed raises InvalidSpec."""
+    if not (isinstance(d, numbers.Integral) and d >= 1) or (isinstance(seed, numbers.Integral) and seed < 0):
+        raise InvalidSpec(f"need an integer d >= 1 and a nonnegative seed, got d={d!r}, seed={seed!r}")
     return _haar_stack(d, np.random.default_rng(seed), 1)[0]

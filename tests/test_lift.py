@@ -12,7 +12,6 @@ from qcorr import (
     build_family,
     enumerate_basis,
     haar_random_unitary,
-    lift_generator,
     lift_observable,
     lift_unitary,
     max_corr_coefficients,
@@ -36,9 +35,8 @@ def _with_phases(phases, rng) -> np.ndarray:
     return (W * np.exp(1j * np.asarray(phases))) @ W.conj().T
 
 
-# V kinds that stress the logarithm the lift goes through: a generic
-# spectrum, an exactly repeated eigenvalue, an eigenvalue on the branch cut
-# at -1, and the scalar -I, whose lift is (-1)^n
+# V kinds: a generic spectrum, an exactly repeated eigenvalue, an
+# eigenvalue at -1, and the scalar -I, whose lift is (-1)^n
 V_KINDS = {
     "haar": lambda d, rng: haar_random_unitary(d, rng),
     "degenerate": lambda d, rng: _with_phases([0.7] * (d - 1) + [-2.1], rng),
@@ -118,7 +116,7 @@ LIFT_ENTRIES = {
 
 @pytest.mark.parametrize("entry", LIFT_ENTRIES)
 def test_lift_rejects_non_unitary_v(entry):
-    # the logarithm keeps only eigenphases: diag(1, 2) would lift as the identity
+    # the recursion lifts any matrix: diag(1, 2) would lift as a non-unitary
     basis = enumerate_basis(2, 2, Statistics.BOSONIC)
     rho = random_density(basis.size, np.random.default_rng(6))
     # a stack is checked whole: one non-unitary member rejects it
@@ -140,11 +138,10 @@ def test_lift_of_a_stack_is_the_stack_of_lifts():
         basis = enumerate_basis(d, n, stats)
         A = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
         H = (A + A.conj().swapaxes(1, 2)) / 2
-        obs, gens = lift_observable(H, basis), lift_generator(H, basis)
-        assert obs.shape == gens.shape == (4, basis.size, basis.size)
+        obs = lift_observable(H, basis)
+        assert obs.shape == (4, basis.size, basis.size)
         for k in range(4):
             assert_allclose(obs[k], lift_observable(H[k], basis), atol=1e-13)
-            assert_allclose(gens[k], lift_generator(H[k], basis), atol=1e-12)
         # one V of every kind, lifted as one stack
         V = np.array([make(d, rng) for make in V_KINDS.values()])
         lifts = lift_unitary(V, basis)
@@ -152,6 +149,44 @@ def test_lift_of_a_stack_is_the_stack_of_lifts():
         for k in range(len(V_KINDS)):
             assert_allclose(lifts[k], lift_unitary(V[k], basis), atol=1e-12)
             assert_allclose(lifts[k], reference_lift(V[k], basis), atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n,stats", [(2, 8, Statistics.BOSONIC), (5, 3, Statistics.FERMIONIC),
+                                       (5, 4, Statistics.BOSONIC)])
+def test_lift_matches_tensor_power_construction_in_larger_sectors(d, n, stats):
+    basis = enumerate_basis(d, n, stats)
+    V = _haar_stack(d, np.random.default_rng([d, n, 18]), 3)
+    reference = np.array([reference_lift(v, basis) for v in V])
+    assert_allclose(lift_unitary(V[0], basis), reference[0], atol=1e-12)
+    assert_allclose(lift_unitary(V, basis), reference, atol=1e-12)
+    assert_allclose(lift_unitary(V.reshape(3, 1, d, d), basis)[:, 0], reference, atol=1e-12)
+
+
+def test_lift_unitarity_defect_at_dimension_330():
+    basis = enumerate_basis(8, 4, Statistics.BOSONIC)
+    assert basis.size == 330
+    G = lift_unitary(haar_random_unitary(8, np.random.default_rng(19)), basis)
+    assert np.abs(G @ G.conj().T - np.eye(basis.size)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d,n,stats", [(4, 2, Statistics.FERMIONIC), (3, 3, Statistics.BOSONIC),
+                                       (6, 3, Statistics.FERMIONIC), (4, 4, Statistics.BOSONIC)])
+def test_stacked_lift_is_bitwise_the_lone_lifts(d, n, stats):
+    # each row is rounded by the same elementwise products in the same order in any stack
+    basis = enumerate_basis(d, n, stats)
+    V = _haar_stack(d, np.random.default_rng([d, n, 20]), 64)
+    lone = np.array([lift_unitary(v, basis) for v in V])
+    for m in (1, 3, 64):
+        assert np.array_equal(lift_unitary(V[:m], basis), lone[:m])
+
+
+@pytest.mark.parametrize("d,n,stats", [(3, 0, Statistics.BOSONIC), (3, 1, Statistics.FERMIONIC),
+                                       (3, 3, Statistics.BOSONIC), (4, 2, Statistics.FERMIONIC)])
+def test_lift_of_an_empty_stack_is_empty(d, n, stats):
+    basis = enumerate_basis(d, n, stats)
+    for lead in ((0,), (2, 0)):
+        assert lift_unitary(np.zeros((*lead, d, d)), basis).shape == (*lead, basis.size, basis.size)
+        assert lift_observable(np.zeros((*lead, d, d)), basis).shape == (*lead, basis.size, basis.size)
 
 
 def test_lift_observable_number_operator():
@@ -218,6 +253,13 @@ def test_haar_first_entry_moment():
     rng = np.random.default_rng(314)
     vals = [abs(haar_random_unitary(2, rng)[0, 0]) ** 2 for _ in range(1000)]
     assert abs(np.mean(vals) - 0.5) < 0.05
+
+
+def test_haar_rejects_bad_dimension_or_seed():
+    for d, seed in ((3, -1), (3, np.int64(-2)), (2.0, 0), ("3", 0), (0, 0), (-1, 0)):
+        with pytest.raises(InvalidSpec):
+            haar_random_unitary(d, seed)
+    assert haar_random_unitary(np.int64(2), np.uint8(3)).shape == (2, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
