@@ -17,13 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
-from .lift import _haar_stack, _hopping, lift_observable, lift_unitary
+from .lift import _STACK_BYTES, _haar_stack, _hopping, _lift, lift_observable, lift_unitary
 from .measurement import MeasurementFamily, _born_probabilities, dephase
 
 _EIG_CUT = 1e-12
-# bytes of the largest stacked array of a chunk of oracle draws, scan points or
-# lockstep descents
-_STACK_BYTES = 2**18
 # classify_report: Q at or below Q_TOL is class P; a condensate-mixture
 # defect at or below STRUCTURE_TOL is class C
 Q_TOL = 1e-6
@@ -146,7 +143,7 @@ class QuantumnessReport:
 
 
 # The local solver is L-BFGS on U(d), re-centred at every step: a step moves
-# V -> exp(itX) V, so the lift moves G -> exp(it dGamma(X)) G.  Every
+# V -> exp(itX) V, and the lift G = Gamma(V) follows by the recursion.  Every
 # objective here is unchanged by diagonal X (the torus), so X runs over the
 # d^2 - d off-diagonal Hermitian generators, in coordinates x with
 # X_ij = x[2k] + i x[2k+1] for the k-th pair i < j, row-major.
@@ -227,8 +224,11 @@ def _direction(g: np.ndarray, mem: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: OptimizerConfig,
              width: int = _WIDTH):
     """L-BFGS descents with Armijo backtracking from starts V (m, d, d), in lockstep
-    rounds of at most `width`.  The objective and gradient see only the lifts G;
-    a descent's V moves once per accepted step.  A descent stops when every
+    rounds of at most `width`.  The objective and gradient see only the lifts G.
+    A round takes one d x d `eigh` of each direction X = u diag(w) u+; every
+    trial point of its line, V_t = u exp(itw) u+ V for the full step and each
+    halving, is lifted to G_t = Gamma(V_t) by `_lift`, and an accepted row takes
+    its (V_t, G_t), so G is Gamma(V) at every point.  A descent stops when every
     gradient coordinate is below _GRAD_TOL, when its value stops falling (a full
     step would gain less than _ROUNDING of it, or _HALVINGS halvings fail even
     along -gradient), or after cfg.max_iterations iterations.  Halvings run in
@@ -274,31 +274,29 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
             p, t, slope = p[~done], t[~done], slope[~done]
         if live.order.size:
             live.iters += 1
-            X = (p @ _units(basis.d)).reshape(-1, basis.d, basis.d)
-            W, U = np.linalg.eigh(lift_observable(X[:, None], basis)[:, 0])
-            UG = U.conj().swapaxes(1, 2) @ live.G
-            G_t = (U * np.exp(1j * t[:, None] * W)[:, None, :]) @ UG
+            w, u = np.linalg.eigh((p @ _units(basis.d)).reshape(-1, basis.d, basis.d))
+            uV = u.conj().swapaxes(1, 2) @ live.V
+            V_t = (u * np.exp(1j * t[:, None] * w)[:, None, :]) @ uV
+            G_t = _lift(V_t, basis)
             trial = objective(G_t)
             ok, tried = trial <= live.value + _ARMIJO * t * slope, 1
             while tried < _HALVINGS and not ok.all():  # the halvings j of the rows k not yet accepted
                 k = np.flatnonzero(~ok) if ok.any() else slice(None)
                 j = np.arange(tried, min(4 * tried, _HALVINGS))
                 steps = t[k, None] / 2.0 ** j
-                G_j = (U[k, None] * np.exp(1j * steps[..., None] * W[k, None])[..., None, :]) @ UG[k, None]
+                V_j = (u[k, None] * np.exp(1j * steps[..., None] * w[k, None])[..., None, :]) @ uV[k, None]
+                G_j = _lift(V_j, basis)
                 f = objective(G_j)
                 hit = f <= live.value[k, None] + _ARMIJO * steps * slope[k, None]
                 i = np.flatnonzero(hit.any(axis=1))  # the rows k[i] that accept a halving, at their first
                 r, c = np.arange(len(t))[k][i], hit[i].argmax(axis=1)
-                G_t[r], trial[r], t[r], ok[r] = G_j[i, c], f[i, c], steps[i, c], True
+                V_t[r], G_t[r], trial[r], t[r], ok[r] = V_j[i, c], G_j[i, c], f[i, c], steps[i, c], True
                 tried = j[-1] + 1
             if ok.any():
                 a = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice gives views
                 g_t = gradient(G_t[a])
                 s, y = t[a, None] * p[a], g_t - live.g[a]
-                w, u = np.linalg.eigh(X[a])
-                uV = u.conj().swapaxes(1, 2) @ live.V[a]
-                live.V[a] = (u * np.exp(1j * t[a, None] * w)[:, None, :]) @ uV
-                live.G[a], live.value[a], live.g[a] = G_t[a], trial[a], g_t
+                live.V[a], live.G[a], live.value[a], live.g[a] = V_t[a], G_t[a], trial[a], g_t
                 keep = (s * y).sum(axis=1) > 0.0
                 if not keep.all():  # a row stores its pair only when s.y > 0
                     a, s, y = np.flatnonzero(ok)[keep], s[keep], y[keep]
@@ -344,23 +342,22 @@ def _minimize_over_group(objective, basis: FockBasis, start: np.ndarray, cfg: Op
     and must be nonnegative; it sees V only through G, so it is unchanged by
     V -> D V for diagonal unitary D.  gradient(G) returns its coordinates
     (..., d^2 - d) along V -> exp(itX) V.
-    One descent starts at `start`, then DESCENTS_PER_RESTART * cfg.restarts - 1
-    at Haar samples from cfg.seed, as wide a lockstep as _STACK_BYTES allows,
-    until one reaches cfg.tol.  A point where some outcome probability vanishes
-    is a local trap for -p log p, so the search then scans plane rotations
-    around the best point and descends again from the lowest scanned point
-    while it beats the best by more than cfg.tol, at most once per start.
+    The starts, `start` then DESCENTS_PER_RESTART * cfg.restarts - 1 Haar
+    samples from cfg.seed, descend in one lockstep as wide as _STACK_BYTES
+    allows, until one reaches cfg.tol.  Each descent ends where it ends alone,
+    so the values are those of a search one start at a time: a `start` that
+    reaches cfg.tol is the one descent reported.  A point where some outcome
+    probability vanishes is a local trap for -p log p, so the search then scans
+    plane rotations around the best point and descends again from the lowest
+    scanned point while it beats the best by more than cfg.tol, at most once
+    per start.
     """
     budget = DESCENTS_PER_RESTART * cfg.restarts
     if basis.d == 1:  # every V is a phase: no direction to descend along or scan
         V, values, budget = start[None], objective(lift_unitary(start, basis)[None]), 0
     else:
-        V, values = _descend(objective, gradient, basis, start[None], cfg)
-        if values[-1] > cfg.tol:
-            starts = _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)
-            V_h, values_h = _descend(objective, gradient, basis, starts, cfg,
-                                     min(_WIDTH, _stack_chunk(basis)))
-            V, values = np.concatenate((V, V_h)), np.concatenate((values, values_h))
+        starts = np.concatenate((start[None], _haar_stack(basis.d, np.random.default_rng(cfg.seed), budget - 1)))
+        V, values = _descend(objective, gradient, basis, starts, cfg, min(_WIDTH, _stack_chunk(basis)))
     values = [float(v) for v in values]
     k = int(np.argmin(values))  # the first of equal values
     best, best_v = values[k], V[k]

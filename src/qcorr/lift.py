@@ -19,6 +19,10 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidSpec
 from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis
 
+# bytes of the largest stacked array of a chunk: lifted gather terms, oracle
+# draws, scan points or lockstep descents
+_STACK_BYTES = 2**18
+
 
 @lru_cache(maxsize=None)
 def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
@@ -41,8 +45,9 @@ def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _level(d: int, n: int, statistics: Statistics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the step to n >= 2 particles, slot t < min(n, d) of row
-    a holding the t-th distinct mode l of a (weight zero past the last):
-    Gamma_n[a, k] = sum_t W.flat[P[t, a, k]] Gamma_{n-1}.flat[Q[t, a, k]] for
+    a holding the t-th distinct mode l of a (weight zero past the last): with
+    e = a D + k the flat index of entry (a, k),
+    Gamma_n.flat[e] = sum_t W.flat[P[t, e]] Gamma_{n-1}.flat[Q[t, e]] for
     W = w (x) V, w listing the weights c_l(a) m_i(k)^(-1/2)."""
     basis, lower = enumerate_basis(d, n, statistics), enumerate_basis(d, n - 1, statistics)
     create = np.array([creation_matrix(l, lower, basis) for l in range(d)]).transpose(1, 0, 2)
@@ -53,8 +58,8 @@ def _level(d: int, n: int, statistics: Statistics) -> tuple[np.ndarray, np.ndarr
     L[t, a], A[t, a], c[t, a] = l, b, create[a, l, b]
     # slot 0 of column k is its lowest mode i, with a+_i |k-i> = c[0, k] |k> = sqrt(m_i(k)) |k>
     w, code = np.unique(c[:, :, None] / c[0], return_inverse=True)
-    P = (code.reshape(-1, basis.size, basis.size) * d + L[:, :, None]) * d + L[0]
-    Q = A[:, :, None] * lower.size + A[0]
+    P = ((code.reshape(-1, basis.size, basis.size) * d + L[:, :, None]) * d + L[0]).reshape(len(L), -1)
+    Q = (A[:, :, None] * lower.size + A[0]).reshape(len(L), -1)
     for x in (w, P, Q):
         x.flags.writeable = False
     return w, P, Q
@@ -88,17 +93,44 @@ def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:
         raise DimensionMismatch(f"V has shape {V.shape}, basis has d={d}")
     if not np.abs(V @ V.conj().swapaxes(-1, -2) - np.eye(d)).max(initial=0.0) <= 1e-10:
         raise InvalidSpec("V is not unitary within 1e-10")
+    return _lift(V, basis)
+
+
+def _lift(V: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """`lift_unitary` of a complex stack V (..., d, d) with no checks, for V known
+    to be unitary.  Each level gathers its terms a block at a time, whole
+    members while they fit and blocks of entries of one member past that, so
+    that no block of terms exceeds _STACK_BYTES; every entry sums its terms in
+    the same order in any block, so a member lifts alike in any stack."""
+    d, lead = basis.d, V.shape[:-2]
     m = V.size // (d * d)
-    G = V.reshape(m, d, d).copy() if basis.n else np.ones((m, 1, 1), dtype=complex)
+    V = V.reshape(m, d, d)
+    if basis.n < 2:
+        G = V.copy() if basis.n else np.ones((m, 1, 1), dtype=complex)
+        return G.reshape(*lead, basis.size, basis.size)
+    chunk = max(1, _STACK_BYTES // (16 * min(basis.n, d) * basis.size ** 2))
+    G = (_gather(V, basis) if m <= chunk
+         else np.concatenate([_gather(V[i:i + chunk], basis) for i in range(0, m, chunk)]))
+    return G.reshape(*lead, basis.size, basis.size)
+
+
+def _gather(V: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Gamma(V) of a stack V (m, d, d) by the recursion, flattened to (m, D^2)."""
+    m, d = len(V), basis.d
+    G = V.reshape(m, d * d)
     for n in range(2, basis.n + 1):
         w, P, Q = _level(d, n, basis.statistics)
-        # out of place: numpy rounds an in-place product of one complex pair without fused multiply-add
-        terms = (np.take((w[:, None] * V.reshape(m, 1, d * d)).reshape(m, w.size * d * d), P, axis=1)
-                 * np.take(G.reshape(m, G.shape[-1] ** 2), Q, axis=1))
-        G = terms[:, 0]
-        for t in range(1, len(P)):  # in a fixed order, so a row rounds alike in any stack
-            G = G + terms[:, t]
-    return G.reshape(*lead, basis.size, basis.size)
+        A = (w[:, None] * V.reshape(m, 1, d * d)).reshape(m, w.size * d * d)
+        step, blocks = max(1, _STACK_BYTES // (16 * max(m, 1) * len(P))), []
+        for c in range(0, P.shape[1], step):
+            # out of place: numpy rounds an in-place product of one complex pair without fused multiply-add
+            terms = np.take(A, P[:, c:c + step], axis=1) * np.take(G, Q[:, c:c + step], axis=1)
+            block = terms[:, 0]
+            for t in range(1, len(P)):  # in a fixed order, so an entry rounds alike in any block
+                block = block + terms[:, t]
+            blocks.append(block)
+        G = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return G
 
 
 def _haar_stack(d: int, rng: np.random.Generator, m: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from qcorr import (
     run_protocol,
     slater_state,
 )
+from qcorr import lift
 from qcorr.lift import _haar_stack
 
 from helpers import plus_minus_rotation, random_density, reference_lift
@@ -178,6 +179,22 @@ def test_stacked_lift_is_bitwise_the_lone_lifts(d, n, stats):
     lone = np.array([lift_unitary(v, basis) for v in V])
     for m in (1, 3, 64):
         assert np.array_equal(lift_unitary(V[:m], basis), lone[:m])
+
+
+@pytest.mark.parametrize("d,n,stats", [(4, 2, Statistics.FERMIONIC), (3, 3, Statistics.BOSONIC),
+                                       (6, 3, Statistics.FERMIONIC), (4, 4, Statistics.BOSONIC)])
+def test_lift_in_blocks_is_bitwise_the_whole_lift(d, n, stats, monkeypatch):
+    # under a smaller byte cap the stack is gathered two members at a time,
+    # and then in blocks of 7 entries of one member; every entry sums the same
+    # terms in the same order, so nothing changes
+    basis = enumerate_basis(d, n, stats)
+    V = _haar_stack(d, np.random.default_rng([d, n, 21]), 5)
+    whole = lift_unitary(V, basis)
+    slots = min(n, d)
+    for cap in (2 * 16 * slots * basis.size ** 2, 7 * 16 * slots):
+        monkeypatch.setattr(lift, "_STACK_BYTES", cap)
+        assert np.array_equal(lift_unitary(V, basis), whole)
+        assert np.array_equal(lift_unitary(V[1], basis), whole[1])
 
 
 @pytest.mark.parametrize("d,n,stats", [(3, 0, Statistics.BOSONIC), (3, 1, Statistics.FERMIONIC),

@@ -257,7 +257,8 @@ LOCKSTEP_SECTORS = [(2, 2, B), (4, 2, F), (3, 3, B), (5, 3, F)]
                          ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
 def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations, width):
     # more starts than run at once, so some join as others end; each must
-    # end where it ends alone, at the full width and at a narrower one
+    # end exactly where it ends alone, at the full width and at a narrower one,
+    # which is what lets the search descend all its starts in one lockstep
     basis = enumerate_basis(*sector)
     rng = np.random.default_rng([sector[0], sector[1], max_iterations])
     rho = random_density(basis.size, rng, rank=2)
@@ -269,8 +270,60 @@ def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations, width):
         assert values.shape == (m,) and np.all(values > cfg.tol)
         for k in range(m):
             V_k, value_k = correlations._descend(objective, gradient, basis, V[k:k + 1], cfg)
-            assert abs(values[k] - value_k[0]) <= 1e-12, f"{name} start {k}"
-            assert np.abs(V_all[k] - V_k[0]).max() <= 1e-10, f"{name} start {k}"
+            assert values[k] == value_k[0], f"{name} start {k}"
+            assert np.array_equal(V_all[k], V_k[0]), f"{name} start {k}"
+
+
+def test_search_lines_take_no_sector_sized_eigh(monkeypatch):
+    # a line moves V by the d x d eigh of its generator and lifts each trial
+    # point: no D x D eigh and no lifted generator
+    basis = enumerate_basis(3, 3, B)
+    rng = np.random.default_rng(43)
+    rho = random_density(basis.size, rng, rank=2)
+    objective, gradient = _objectives(rho, basis)["entropy"]
+    sizes, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(correlations, "lift_observable", None)  # any call would raise
+    V, values = correlations._descend(objective, gradient, basis, correlations._haar_stack(3, rng, 3),
+                                      OptimizerConfig())
+    assert sizes and set(sizes) == {basis.d}
+    assert values.shape == (3,) and np.all(values < objective(lift_unitary(V, basis)) + 1e-12)
+
+
+@pytest.mark.parametrize("sector", [(3, 2, B), (4, 2, F), (3, 3, B), (5, 3, F), (4, 4, B)],
+                         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
+def test_reported_minimum_is_the_projected_entropy_at_argmin_v(sector):
+    # every point of a search is the lift of its V, so Q is the entropy of the
+    # lifted argmin_v less S(rho) exactly, not only to rounding
+    basis = enumerate_basis(*sector)
+    rng = np.random.default_rng([sector[0], sector[1], 31])
+    psi = random_pure(basis.size, rng)
+    for k, rho in enumerate((np.outer(psi, psi.conj()), random_density(basis.size, rng, rank=2))):
+        rep = quantumness(rho, basis, OptimizerConfig(restarts=1, seed=k))
+        assert rep.q_value > 1e-9
+        assert rep.q_value == projected_entropy(rho, rep.argmin_v, basis) - rep.entropy
+
+
+@pytest.mark.parametrize("sector,support", [((4, 2, F), ((0, 1), (0, 2), (1, 3))),
+                                            ((3, 3, B), ((0, 0, 1), (0, 1, 2), (2, 2, 2))),
+                                            ((4, 3, F), ((0, 1, 2), (0, 1, 3), (0, 2, 3)))],
+                         ids=["4-2-F", "3-3-B", "4-3-F"])
+def test_classical_state_with_distinct_occupations_takes_one_descent(sector, support):
+    # the natural-orbital start of a zero-quantumness state with a
+    # non-degenerate one-particle spectrum is a minimizer, so it ends the
+    # search although the Haar starts join its lockstep
+    basis = enumerate_basis(*sector)
+    W = haar_random_unitary(basis.d, np.random.default_rng([sector[0], sector[1], 23]))
+    spec = ClassicalStateSpec(np.array([0.5, 0.3, 0.2]), W, support)
+    rho = make_classical_state(spec, basis)
+    assert np.diff(correlations._natural_orbitals(rho, basis)[0]).min() > 1e-3
+    rep = quantumness(rho, basis, OptimizerConfig(restarts=5, seed=1))
+    assert len(rep.restart_values) == 1 and rep.q_value <= 1e-12 and rep.converged
 
 
 @pytest.mark.parametrize("sector", [(3, 3, B), (5, 3, F)],
