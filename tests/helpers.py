@@ -145,14 +145,32 @@ def hole_image(psi: np.ndarray, states, d: int):
     return np.asarray(psi) * signs, holes
 
 
-def count_eigvalsh(monkeypatch) -> list:
-    """Record the shape of every np.linalg.eigvalsh call from now on."""
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the shape of the first argument of every `owner.name` call from
+    now on."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    original = getattr(owner, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every np.linalg.eigvalsh call from now on."""
+    return count_calls(monkeypatch, np.linalg, "eigvalsh")
+
+
+def coleman_defect(rho: np.ndarray, basis: FockBasis) -> float:
+    """n - Tr R^2 for the one-particle density matrix R_ij = Tr(rho a+_i a_j)
+    of a fermion state, taken in first quantization: R = n Tr_{2..n}(T rho T+)
+    with T the symmetrized isometry.  Tr R^2 <= n, with equality exactly when
+    R is a projector, which for a pure state means a single Slater
+    determinant (Coleman, Rev. Mod. Phys. 35, 668 (1963))."""
+    d, n = basis.d, basis.n
+    T = symmetrized_isometry(basis).reshape(d, d ** (n - 1), basis.size)
+    R = n * np.einsum("iab,bc,jac->ij", T, rho, T.conj())
+    return float(n - np.vdot(R, R).real)

@@ -30,7 +30,13 @@ from qcorr import (
     von_neumann_entropy,
 )
 
-from helpers import coupling_unitary, plus_minus_rotation, random_density, random_pure
+from helpers import (
+    count_calls,
+    coupling_unitary,
+    plus_minus_rotation,
+    random_density,
+    random_pure,
+)
 
 
 def psi_b(basis):
@@ -250,13 +256,18 @@ def test_protocol_matches_dense_construction(d, n, stats, kind):
     assert np.array_equal(js.matrix, _dense_protocol(rho, V, basis))
     ok, worst = verify_maximally_correlated(js)
     assert ok and worst == _mask_worst(js)
+    for tol in (-1.0, math.nan):
+        assert verify_maximally_correlated(js, tol) == (False, 0.0)
+    # other layouts and dtypes of the same joint give the same answer
+    for M in (np.asfortranarray(js.matrix), js.matrix.astype(np.complex64)):
+        assert verify_maximally_correlated(JointState(js.system_dim, M)) == (ok, worst)
     full_route = (von_neumann_entropy(partial_trace(js, Subsystem.SYSTEM))
                   - von_neumann_entropy(js.matrix))
     assert abs(entanglement_maxcorr(js) - full_route) <= 1e-12
 
 
 @pytest.mark.parametrize("d,n,stats", PIN_SECTORS[1:4])
-def test_verify_matches_mask_on_perturbed_joint(d, n, stats):
+def test_verify_matches_mask_on_perturbed_joint(d, n, stats, monkeypatch):
     basis, rho, V = _pin_input(d, n, stats, "mixed")
     js = run_protocol(rho, V, basis)
     rng = np.random.default_rng(d * 10 + n)
@@ -267,6 +278,29 @@ def test_verify_matches_mask_on_perturbed_joint(d, n, stats):
     ok, worst = verify_maximally_correlated(perturbed)
     assert worst == _mask_worst(perturbed) > 1e-10 and not ok
     assert verify_maximally_correlated(perturbed, tol=1e-6) == (True, worst)
+    # an off-pattern -0.0 or subnormal is zero, or nearly, as a number but not
+    # as bits: the joint takes the slab pass and keeps its exact worst entry
+    abs_calls = count_calls(monkeypatch, np, "abs")
+    for entry in (-0.0, 5e-324):
+        M = js.matrix.copy()
+        M[1, 0] = entry  # joint row 1 is not a pattern row
+        edited = JointState(js.system_dim, M)
+        abs_calls.clear()
+        assert verify_maximally_correlated(edited) == (True, abs(entry))
+        assert abs_calls
+        assert abs(entry) == _mask_worst(edited)
+
+
+def test_clean_protocol_output_takes_no_modulus_of_the_joint(monkeypatch):
+    # a run_protocol output is exactly zero off the pattern, so the integer
+    # screen decides it: no np.abs over a slab (D^3 entries) or the joint
+    basis, rho, V = _pin_input(4, 4, Statistics.BOSONIC, "mixed")
+    D = basis.size
+    js = run_protocol(rho, V, basis)
+    abs_calls = count_calls(monkeypatch, np, "abs")
+    assert verify_maximally_correlated(js) == (True, 0.0)
+    entanglement_maxcorr(js)
+    assert all(math.prod(shape) < D**3 for shape in abs_calls), abs_calls
 
 
 def test_run_protocol_rejects_oversized_joint_before_lifting(monkeypatch):

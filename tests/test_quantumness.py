@@ -40,6 +40,7 @@ from qcorr import (
 from qcorr.correlations import _stack_chunk
 
 from helpers import (
+    coleman_defect,
     count_eigvalsh,
     equal_quantumness_forms,
     hole_image,
@@ -248,7 +249,7 @@ def test_quantumness_classical_family_is_zero():
 # (d, n, statistics, rank) where restarts=3 searches agree across the forms of
 # a state; not (3,3,B), where they settle in different minima
 INVARIANCE_CASES = [(4, 2, F, 1), (4, 2, F, 3), (3, 2, B, 1), (3, 2, B, 3),
-                    (5, 3, F, 1), (5, 3, F, 3)]
+                    (5, 3, F, 1), (5, 3, F, 3), (6, 3, F, 1), (6, 3, F, 3)]
 
 
 @pytest.mark.parametrize("d,n,stats,rank", INVARIANCE_CASES,
@@ -617,3 +618,33 @@ def test_two_hole_pure_states_match_their_hole_pair(d):
     psi = random_pure(basis.size, np.random.default_rng([d, 102]))
     q = quantumness(np.outer(psi, psi.conj()), basis, OptimizerConfig(restarts=2, seed=d)).q_value
     assert abs(q - two_fermion_quantumness(*hole_image(psi, basis.states, d), d)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_two_hole_mixed_states_match_their_hole_images(d):
+    # particle-hole for a rank-3 state: relabel rho by hole_image's signed
+    # map onto (d, 2, F) and compare two searches
+    basis, pairs = enumerate_basis(d, d - 2, F), enumerate_basis(d, 2, F)
+    rho = random_density(basis.size, np.random.default_rng([d, 103]), rank=3)
+    signs, holes = hole_image(np.ones(basis.size), basis.states, d)
+    P = np.zeros((pairs.size, basis.size))
+    P[[pairs.index_of(h) for h in holes], np.arange(basis.size)] = signs
+    cfg = OptimizerConfig(restarts=2, seed=d)
+    q = quantumness(rho, basis, cfg).q_value
+    assert abs(q - quantumness(P @ rho @ P.T, pairs, cfg).q_value) <= 1e-8
+
+
+@pytest.mark.parametrize("d,n", [(5, 3), (6, 3), (7, 4)])
+def test_coleman_defect_separates_slater_determinants(d, n):
+    # a pure fermion state is one Slater determinant exactly when its
+    # one-particle density matrix is a projector; classify agrees on both sides
+    basis = enumerate_basis(d, n, F)
+    rng = np.random.default_rng([d, n, 104])
+    spec = ClassicalStateSpec(np.array([1.0]), haar_random_unitary(d, rng), (basis.states[0],))
+    slater = make_classical_state(spec, basis)
+    psi = random_pure(basis.size, rng)
+    cfg = OptimizerConfig(restarts=1)
+    assert coleman_defect(slater, basis) <= 1e-12
+    assert classify(slater, basis, cfg) is Classification.NO_QUANTUMNESS_P
+    assert coleman_defect(np.outer(psi, psi.conj()), basis) > 1e-2
+    assert classify(np.outer(psi, psi.conj()), basis, cfg) is Classification.CORRELATED_Q
