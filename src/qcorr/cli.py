@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
@@ -40,7 +39,7 @@ from .errors import (
     UnknownOccupation,
 )
 from .fock import Statistics, enumerate_basis
-from .statefile import parse_state_file
+from .statefile import _parse_float, parse_state_file
 
 
 def _statistics_from_flags(args) -> Statistics:
@@ -150,19 +149,14 @@ def _read_v_matrix(path, d: int) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            code = raw.split("#", 1)[0]
+            vals = code.split()
+            if not vals:
                 continue
-            vals = line.split()
             if len(vals) != 2 * d:
                 raise StateFileError(
                     f"V row needs {2 * d} floats (re im pairs), got {len(vals)}", lineno)
-            try:
-                nums = [float(v) for v in vals]
-            except ValueError:
-                raise StateFileError("bad float in V row", lineno) from None
-            if not all(math.isfinite(x) for x in nums):
-                raise StateFileError("non-finite float in V row", lineno)
+            nums = [_parse_float(v, lineno, code, k) for k, v in enumerate(vals)]
             rows.append([complex(nums[2 * k], nums[2 * k + 1]) for k in range(d)])
     if len(rows) != d:
         raise StateFileError(f"V needs {d} rows, got {len(rows)}")

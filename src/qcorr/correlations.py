@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
-from .lift import _STACK_BYTES, _haar_stack, _hopping, _lift, lift_observable, lift_unitary
+from .lift import _STACK_BYTES, _haar_stack, _hopping, _lift, lift_unitary
 from .measurement import MeasurementFamily, _born_probabilities, dephase
 
 _EIG_CUT = 1e-12
@@ -188,13 +188,16 @@ def _stack_chunk(basis: FockBasis) -> int:
 
 @lru_cache(maxsize=None)
 def _planes(basis: FockBasis) -> tuple[np.ndarray, ...]:
-    """Read-only stacked eigendecompositions (w, u) of the scan generators X and
-    (W, U) of dGamma(X), by plane then phase."""
+    """Read-only stacked eigendecompositions X = u diag(w) u+ of the scan
+    generators, by plane then phase, and their lifts dGamma(X) = U diag(W) U+:
+    U = Gamma(u) by `_lift`, and W, the diagonal of dGamma(diag w), sums w over
+    the particles of each occupation."""
     m = basis.d * basis.d - basis.d
     x, k = np.zeros((m // 2, len(_SCAN_PHASES), m)), np.arange(m // 2)
     x[k, :, 2 * k], x[k, :, 2 * k + 1] = np.real(_SCAN_PHASES), np.imag(_SCAN_PHASES)
-    X = (x.reshape(-1, m) @ _units(basis.d)).reshape(-1, basis.d, basis.d)
-    out = (*np.linalg.eigh(X), *np.linalg.eigh(lift_observable(X, basis)))
+    w, u = np.linalg.eigh((x.reshape(-1, m) @ _units(basis.d)).reshape(-1, basis.d, basis.d))
+    occupied = np.array(basis.states, dtype=np.intp).reshape(basis.size, basis.n)
+    out = w, u, np.take(w, occupied, axis=1).sum(axis=-1), _lift(u, basis)
     for a in out:
         a.flags.writeable = False
     return out
@@ -313,7 +316,9 @@ def _descend(objective, gradient, basis: FockBasis, V: np.ndarray, cfg: Optimize
 
 def _scan(objective, basis: FockBasis, V: np.ndarray):
     """Lowest objective over the plane rotations of V at _SCAN_PHASES and
-    _SCAN_ANGLES, evaluated a chunk of points at a time, and its rotation."""
+    _SCAN_ANGLES, evaluated a chunk of points at a time, and its rotation.
+    Point (X, theta) is Gamma(exp(i theta X) V) = (U e^{i theta W} U+) Gamma(V)
+    from the `_planes` table, so the scan lifts only V."""
     # The objective ignores the row phases of V, but the scan's generator
     # phases are relative to them: fix them (largest entry of each row real
     # positive) so that every point of V's torus orbit scans the same set.

@@ -219,10 +219,12 @@ def test_non_finite_amplitude_exit_2(tmp_path, command):
 
 def test_activate_rejects_non_finite_v_exit_2(psi_b_file, tmp_path):
     vfile = tmp_path / "v.txt"
-    vfile.write_text("1.0 0.0 0.0 0.0\n0.0 0.0 inf 0.0\n")
-    r = run_cli("activate", psi_b_file, "--v-matrix", str(vfile))
-    assert r.returncode == 2
-    assert "non-finite" in r.stderr
+    for row, message in (("0.0 0.0 inf 0.0", "line 2, column 9: non-finite float 'inf'"),
+                         ("0.0 0.0 1.0 0.0x", "line 2, column 13: bad float '0.0x'")):
+        vfile.write_text(f"1.0 0.0 0.0 0.0\n{row}\n")
+        r = run_cli("activate", psi_b_file, "--v-matrix", str(vfile))
+        assert r.returncode == 2
+        assert message in r.stderr
 
 
 def test_invalid_option_exit_2(psi_b_file):

@@ -3,6 +3,7 @@ each step, with an analytic gradient for each searched objective, an escape
 scan out of the -p log p traps, and a frozen regression panel."""
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qcorr import (
@@ -13,6 +14,7 @@ from qcorr import (
     classify_report,
     enumerate_basis,
     haar_random_unitary,
+    lift_observable,
     lift_unitary,
     make_classical_state,
     projected_entropy,
@@ -22,7 +24,7 @@ from qcorr import (
 from qcorr import correlations
 from qcorr.measurement import MeasurementFamily, build_family, dephase
 
-from helpers import random_density, random_pure, two_loop
+from helpers import count_calls, random_density, random_pure, reference_lift, two_loop
 
 B, F = Statistics.BOSONIC, Statistics.FERMIONIC
 
@@ -274,25 +276,47 @@ def test_lockstep_descents_equal_one_at_a_time(sector, max_iterations, width):
             assert np.array_equal(V_all[k], V_k[0]), f"{name} start {k}"
 
 
-def test_search_lines_take_no_sector_sized_eigh(monkeypatch):
+def test_searches_take_no_sector_sized_eigh(monkeypatch):
     # a line moves V by the d x d eigh of its generator and lifts each trial
-    # point: no D x D eigh and no lifted generator
+    # point, and the scan table lifts the d x d eigenvectors of its generators:
+    # no search takes a D x D eigh or a lifted generator
+    correlations._planes.cache_clear()  # so that the table is built under the count
     basis = enumerate_basis(3, 3, B)
     rng = np.random.default_rng(43)
     rho = random_density(basis.size, rng, rank=2)
-    objective, gradient = _objectives(rho, basis)["entropy"]
-    sizes, eigh = [], np.linalg.eigh
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    scans = count_calls(monkeypatch, correlations, "_scan")
+    quantumness(rho, basis, OptimizerConfig(restarts=1))
+    condensates = make_classical_state(ClassicalStateSpec(np.array([0.5, 0.5]), haar_random_unitary(3, rng),
+                                                          ((0, 0, 0), (1, 1, 1))), basis)
+    rep = classify_report(condensates, basis, OptimizerConfig(restarts=1))
+    assert scans and rep.label is Classification.CLASSICAL_ONLY_C
+    assert eigh and {shape[-1] for shape in eigh} == {basis.d}
+    assert not hasattr(correlations, "lift_observable")
 
-    def counted(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(correlations, "lift_observable", None)  # any call would raise
-    V, values = correlations._descend(objective, gradient, basis, correlations._haar_stack(3, rng, 3),
-                                      OptimizerConfig())
-    assert sizes and set(sizes) == {basis.d}
-    assert values.shape == (3,) and np.all(values < objective(lift_unitary(V, basis)) + 1e-12)
+@pytest.mark.parametrize("sector", [(3, 2, B), (4, 2, F), (3, 3, B), (6, 3, F), (2, 5, B)],
+                         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
+def test_scan_table_lifts_each_plane_rotation(sector):
+    # the scan's point U e^{i theta W} U+ for generator X = u diag(w) u+ against
+    # the tensor-power lift of u e^{i theta w} u+ and the exponential of the
+    # hopping-tensor dGamma(X), neither of which goes through the recursion
+    basis = enumerate_basis(*sector)
+    d, theta = basis.d, 0.37
+    w, u, W, U = correlations._planes(basis)
+    X = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for z in correlations._SCAN_PHASES:
+                X.append(np.zeros((d, d), dtype=complex))
+                X[-1][i, j], X[-1][j, i] = z, np.conj(z)
+    assert len(X) == len(u)
+    for g, X_g in enumerate(X):
+        point = (U[g] * np.exp(1j * theta * W[g])) @ U[g].conj().T
+        assert_allclose(point, reference_lift((u[g] * np.exp(1j * theta * w[g])) @ u[g].conj().T, basis),
+                        atol=1e-12, err_msg=f"generator {g}")
+        assert_allclose(point, expm(1j * theta * lift_observable(X_g, basis)), atol=1e-12,
+                        err_msg=f"generator {g}")
 
 
 @pytest.mark.parametrize("sector", [(3, 2, B), (4, 2, F), (3, 3, B), (5, 3, F), (4, 4, B)],
