@@ -2,10 +2,13 @@
 of the lifted unitary used as the oracle for the lift."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 
-from qcorr import FockBasis, Statistics
+from qcorr import (FockBasis, InvalidDimension, StateFileError, Statistics,
+                   check_density_matrix, enumerate_basis)
+from qcorr.statefile import ParsedState
 
 
 def perm_parity(perm) -> int:
@@ -174,3 +177,144 @@ def coleman_defect(rho: np.ndarray, basis: FockBasis) -> float:
     T = symmetrized_isometry(basis).reshape(d, d ** (n - 1), basis.size)
     R = n * np.einsum("iab,bc,jac->ij", T, rho, T.conj())
     return float(n - np.vdot(R, R).real)
+
+
+def _reference_error(message: str, lineno: int, code: str, k: int) -> StateFileError:
+    """StateFileError at the k-th token of a line's code."""
+    cols, i = [], 0
+    for tok in code.split():
+        i = code.index(tok, i)
+        cols.append(i + 1)
+        i += len(tok)
+    return StateFileError(message, lineno, cols[k])
+
+
+def _reference_occupation(token: str, labels: dict, basis: FockBasis,
+                          lineno: int, code: str, k: int) -> int:
+    if token in labels:
+        return labels[token]
+    try:
+        occ = tuple(int(p) for p in token.split(","))
+    except ValueError:
+        raise _reference_error(f"occupation {token!r} is not a comma-separated "
+                               "list of integers", lineno, code, k) from None
+    if len(occ) != basis.n:
+        raise _reference_error(f"occupation {token!r} has {len(occ)} modes, "
+                               f"expected n={basis.n}", lineno, code, k)
+    if any(not 0 <= m < basis.d for m in occ):
+        raise _reference_error(f"occupation {token!r} has a mode outside "
+                               f"[0, {basis.d})", lineno, code, k)
+    if occ not in basis:
+        kind = ("strictly increasing" if basis.statistics is Statistics.FERMIONIC
+                else "non-decreasing")
+        raise _reference_error(f"occupation {token!r} is not in canonical "
+                               f"{kind} order", lineno, code, k)
+    return basis.index_of(occ)
+
+
+def _reference_float(token: str, lineno: int, code: str, k: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise _reference_error(f"bad float {token!r}", lineno, code, k) from None
+    if not math.isfinite(value):
+        raise _reference_error(f"non-finite float {token!r}", lineno, code, k)
+    return value
+
+
+def reference_parse_state_text(text: str) -> ParsedState:
+    """The state-file grammar read one line at a time: the referee of
+    `parse_state_text`, which reads the body by column.  Each row is checked
+    in turn (header key, field count, occupations, RE, IM, duplicate), so the
+    first faulty row in file order raises its first fault."""
+    header: dict[str, str] = {}
+    header_lines: dict[str, int] = {}
+    basis = labels = representation = None
+    entries = {}  # basis index (pure) or (row, col) index pair (mixed) -> value
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        tokens = code.split()
+        if not tokens:
+            continue
+
+        if tokens[0] in ("d", "n", "statistics", "representation", "label"):
+            key = tokens[0]
+            if basis is not None:
+                raise _reference_error(f"header key {key!r} after body began", lineno, code, 0)
+            if key in header:
+                raise _reference_error(f"duplicate header key {key!r}", lineno, code, 0)
+            if len(tokens) < 2:
+                raise _reference_error(f"header key {key!r} needs a value", lineno, code, 0)
+            if key != "label" and len(tokens) > 2:
+                raise _reference_error(f"header key {key!r} takes one value", lineno, code, 2)
+            header[key] = code.strip()[len(key):].strip() if key == "label" else tokens[1]
+            header_lines[key] = lineno
+            continue
+
+        if basis is None:
+            missing = [k for k in ("d", "n", "statistics", "representation") if k not in header]
+            if missing:
+                raise _reference_error(f"body begins before header keys {missing} are set",
+                                       lineno, code, 0)
+            sizes = {}
+            for key in ("d", "n"):
+                try:
+                    sizes[key] = int(header[key])
+                except ValueError:
+                    raise StateFileError(f"d and n must be integers, got {key} "
+                                         f"{header[key]!r}", header_lines[key]) from None
+            if sizes["n"] < 1:
+                raise StateFileError(f"need n >= 1, got n={sizes['n']}", header_lines["n"])
+            stats = header["statistics"].lower()
+            if stats not in ("fermionic", "bosonic"):
+                raise StateFileError(f"statistics must be fermionic or bosonic, got {stats!r}",
+                                     header_lines["statistics"])
+            representation = header["representation"].lower()
+            if representation not in ("pure", "mixed"):
+                raise StateFileError(f"representation must be pure or mixed, got "
+                                     f"{representation!r}", header_lines["representation"])
+            try:
+                basis = enumerate_basis(sizes["d"], sizes["n"], Statistics(stats))
+            except InvalidDimension as e:
+                raise StateFileError(str(e), header_lines["d"]) from None
+            labels = {",".join(map(str, occ)): i for i, occ in enumerate(basis.states)}
+
+        want = 3 if representation == "pure" else 4
+        if len(tokens) != want:
+            raise _reference_error(
+                f"{representation} row needs {want} fields "
+                f"({'occ re im' if want == 3 else 'row-occ col-occ re im'}), got {len(tokens)}",
+                lineno, code, 0)
+        key = tuple(_reference_occupation(tokens[k], labels, basis, lineno, code, k)
+                    for k in range(want - 2))
+        re = _reference_float(tokens[want - 2], lineno, code, want - 2)
+        im = _reference_float(tokens[want - 1], lineno, code, want - 1)
+        if key in entries:
+            shown = tuple(basis.states[i] for i in key)
+            raise _reference_error(f"duplicate entry for {shown[0] if want == 3 else shown}",
+                                   lineno, code, 0)
+        entries[key] = complex(re, im)
+
+    if basis is None:
+        raise StateFileError("no state entries found", max(list(header_lines.values()) or [1]))
+
+    label = header.get("label")
+    if representation == "pure":
+        v = np.zeros(basis.size, dtype=complex)
+        for (i,), amp in entries.items():
+            v[i] = amp
+        norm = float(np.linalg.norm(v))
+        if norm < 1e-12:
+            raise StateFileError("pure state has (near-)zero norm")
+        normalized = abs(norm - 1.0) > 1e-12
+        if normalized:
+            warnings.warn(f"pure state had norm {norm!r}; normalized on parse")
+            v = v / norm
+        return ParsedState(basis, "pure", label, v, None, normalized)
+
+    rho = np.zeros((basis.size, basis.size), dtype=complex)
+    for (i, j), val in entries.items():
+        rho[i, j] = val
+    check_density_matrix(rho)
+    return ParsedState(basis, "mixed", label, None, rho, False)
