@@ -53,11 +53,7 @@ from .fock import (
     enumerate_basis,
     slater_state,
 )
-from .lift import (
-    haar_random_unitary,
-    lift_observable,
-    lift_unitary,
-)
+from .lift import haar_random_unitary, lift_unitary
 from .measurement import MeasurementFamily, build_family, dephase
 from .statefile import ParsedState, parse_state_file, parse_state_text, write_state_file, write_state_text
 

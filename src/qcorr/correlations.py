@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedParticleNumber
 from .fock import FockBasis, Statistics, check_density_matrix
-from .lift import _STACK_BYTES, _haar_stack, _hopping, _lift, lift_unitary
+from .lift import _STACK_BYTES, _haar_stack, _lift, _one_body, lift_unitary
 from .measurement import MeasurementFamily, _born_probabilities, dephase
 
 _EIG_CUT = 1e-12
@@ -81,11 +81,12 @@ def projected_entropy(rho: np.ndarray, V: np.ndarray, basis: FockBasis) -> float
 
 
 def one_particle_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """d x d matrix R_ij = Tr(rho a+_i a_j)."""
-    rho = np.asarray(rho)
+    """d x d matrix R_ij = Tr(rho a+_i a_j), gathered by the sector's one-body table."""
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (basis.size, basis.size):
         raise DimensionMismatch(f"state shape {rho.shape} vs basis size {basis.size}")
-    R = np.einsum("ijab,ba->ij", _hopping(basis.d, basis.n, basis.statistics), rho)
+    P, w = _one_body(basis.d, basis.n, basis.statistics)
+    R = (np.take(rho, P) * w).sum(axis=-1)
     return (R + R.conj().T) / 2
 
 
@@ -392,36 +393,35 @@ def _converged(values: tuple[float, ...], best: float, tol: float) -> bool:
 
 
 # Every objective reaches V through tau = G rho G+, and along V -> exp(itX) V its
-# derivative is Tr(dGamma(X) (-iC)) for a D x D matrix C of its own; with E the
-# hopping tensor, dGamma(X) = sum_ij X_ij E_ij gives coordinate (2k, 2k + 1) of the
-# k-th pair i < j as 2 (Re, Im) Tr(E_ji (-iC)).
-@lru_cache(maxsize=None)
-def _coordinate_table(basis: FockBasis) -> np.ndarray:
-    """Read-only F, column k: -2i E_ji of the k-th pair i < j, transposed and
-    flattened, so that C.ravel() @ F = 2 Tr(E_ji (-iC))."""
+# derivative is Tr(dGamma(X) (-iC)) for a D x D matrix C of its own;
+# dGamma(X) = sum_ij X_ij a+_i a_j gives coordinate (2k, 2k + 1) of the k-th pair
+# i < j as 2 (Re, Im) Tr(a+_j a_i (-iC)).
+def _pair_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The sector's one-body table at (j, i) for the pairs i < j, in coordinate
+    order, its weights times -2i."""
     rows, cols = _pairs(basis.d)
-    E = _hopping(basis.d, basis.n, basis.statistics)
-    F = (-2j * E[cols, rows]).swapaxes(1, 2).reshape(-1, basis.size ** 2).T
-    F.flags.writeable = False
-    return F
+    P, w = _one_body(basis.d, basis.n, basis.statistics)
+    return P[cols, rows], -2j * w[cols, rows]
 
 
-def _coordinates(C: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The gradient coordinates (..., d^2 - d) of the matrices C (..., D, D), F
-    the sector's `_coordinate_table`."""
-    # a unit axis per row keeps each row's products, so its rounding, the same in any stack
-    return (C.reshape(C.shape[:-2] + (1, C.shape[-1] ** 2)) @ F)[..., 0, :].view(float)
+def _coordinates(C: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient coordinates (..., d^2 - d) of the matrices C (..., D, D),
+    `table` the sector's `_pair_table`."""
+    P, w = table
+    # a row's terms lie along its own last axis, so it sums them in one order in any stack
+    terms = C.reshape(C.shape[:-2] + (-1,)).take(P, axis=-1) * w
+    return terms.sum(axis=-1).view(float)
 
 
 def _entropy_gradient(rho: np.ndarray, basis: FockBasis):
     """Gradient of H(diag G rho G+): C_ab = tau_ab (l_b - l_a), l = log p and
     p = diag tau clipped at 1e-300, where |tau_ab|^2 <= p_a p_b keeps C bounded."""
-    F = _coordinate_table(basis)
+    table = _pair_table(basis)
 
     def gradient(G):
         tau = (G @ rho) @ G.conj().swapaxes(-1, -2)
         log_p = np.log(np.maximum(np.diagonal(tau, axis1=-2, axis2=-1).real, 1e-300))
-        return _coordinates(tau * (log_p[..., None, :] - log_p[..., :, None]), F)
+        return _coordinates(tau * (log_p[..., None, :] - log_p[..., :, None]), table)
 
     return gradient
 
@@ -433,7 +433,7 @@ def _geometric_gradient(rho: np.ndarray, basis: FockBasis):
     of Delta (Higham, Functions of Matrices, SIAM 2008, ch. 3), whose eigenvalues
     at or below _EIG_CUT get a divided difference of 0, as `_relative_entropy`
     gives them zero weight.  No Shannon entropy of p is formed."""
-    F = _coordinate_table(basis)
+    table = _pair_table(basis)
 
     def gradient(G):
         Gh = G.conj().swapaxes(-1, -2)
@@ -447,11 +447,12 @@ def _geometric_gradient(rho: np.ndarray, basis: FockBasis):
         x = (mu[..., :, None] - mu[..., None, :]) / mu[..., None, :]
         ratio = np.where(x == 0.0, 1.0, np.log1p(x) / np.where(x == 0.0, 1.0, x))
         L = np.where(live[..., :, None] & live[..., None, :], ratio / mu[..., None, :], 0.0)
+        del sigma, x, ratio  # the products below are the peak: hold no D x D array they do not read
         Uh = U.conj().swapaxes(-1, -2)
         Y = (G @ U) @ (L * (Uh @ rho @ U)) @ (Uh @ Gh)
         y = np.diagonal(Y, axis1=-2, axis2=-1).real
         C = Y * (p[..., None, :] - p[..., :, None]) + tau * (y[..., None, :] - y[..., :, None])
-        return _coordinates(C, F)
+        return _coordinates(C, table)
 
     return gradient
 
@@ -600,13 +601,13 @@ def _condensate_labels(basis: FockBasis) -> list[int]:
 def _condensate_gradient(rho: np.ndarray, basis: FockBasis):
     """Gradient of `_condensate_defect`: C_ab = 2 tau_ab (r_b - r_a), r the
     diagonal of tau = G rho G+ on the condensate labels and 0 elsewhere."""
-    k, F = _condensate_labels(basis), _coordinate_table(basis)
+    k, table = _condensate_labels(basis), _pair_table(basis)
 
     def gradient(G):
         tau = (G @ rho) @ G.conj().swapaxes(-1, -2)
         r = np.zeros(tau.shape[:-1])
         r[..., k] = np.diagonal(tau, axis1=-2, axis2=-1)[..., k].real
-        return _coordinates(2 * tau * (r[..., None, :] - r[..., :, None]), F)
+        return _coordinates(2 * tau * (r[..., None, :] - r[..., :, None]), table)
 
     return gradient
 

@@ -1,4 +1,4 @@
-"""Lift single-particle unitaries and observables to the n-particle sector.
+"""Lift single-particle unitaries to the n-particle sector by its creation operators.
 
 Gamma(V) a+_i Gamma(V)+ = sum_l V_li a+_l gives Gamma(V) one particle level at a
 time from Gamma_1 = V: with i the lowest occupied mode of the input occupation
@@ -8,6 +8,8 @@ where c_l(a) = <a|a+_l|a-l> is a fermion sign or the boson factor sqrt(m_l(a)):
 the Laplace expansion of each entry, a determinant (fermions) or normalized
 permanent (bosons) of V, along its first column.  Rows are output occupations,
 columns input ones, so Gamma is a homomorphism and Gamma(V) = V for n = 1.
+The same creation matrices give the gather table of the one-body operators
+a+_i a_j, through which every one-body reduction of a state is taken.
 """
 from __future__ import annotations
 
@@ -24,22 +26,26 @@ from .fock import FockBasis, Statistics, creation_matrix, enumerate_basis
 _STACK_BYTES = 2**18
 
 
-@lru_cache(maxsize=None)
-def _hopping(d: int, n: int, statistics: Statistics) -> np.ndarray:
-    """Hopping tensor E[i, j] = a+_i a_j on the (d, n) sector, shape (d, d, D, D).
+def _creations(d: int, n: int, statistics: Statistics) -> np.ndarray:
+    """a+_l from the (n-1)- to the n-particle sector for every mode l, shape (d, D_n, D_{n-1})."""
+    basis, lower = enumerate_basis(d, n, statistics), enumerate_basis(d, n - 1, statistics)
+    return np.array([creation_matrix(l, lower, basis) for l in range(d)])
 
-    Built once per sector and shared by every caller, hence read-only.
-    """
-    basis = enumerate_basis(d, n, statistics)
-    if n == 0:
-        E = np.zeros((d, d, 1, 1), dtype=complex)
-    else:
-        lower = enumerate_basis(d, n - 1, statistics)
-        create = np.array([creation_matrix(i, lower, basis) for i in range(d)])
-        # complex, so the contraction with a complex generator needs no cast
-        E = np.einsum("iak,jbk->ijab", create, create).astype(complex)
-    E.flags.writeable = False
-    return E
+
+@lru_cache(maxsize=None)
+def _one_body(d: int, n: int, statistics: Statistics) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather table (P, w) of E_ij = a+_i a_j on the (d, n) sector, each
+    of shape (d, d, D_{n-1}): Tr(E_ij C) = sum_b w[i, j, b] C.flat[P[i, j, b]] for
+    any D x D matrix C.  E_ij = sum_b a+_i |b><b| a_j has one entry per
+    (n-1)-particle occupation b, at row b+i and column b+j, of weight
+    c_i(b) c_j(b), zero where a fermion mode of b is already occupied."""
+    create = _creations(d, n, statistics) if n else np.zeros((d, 1, 0))  # no state below the vacuum
+    row = np.abs(create).argmax(axis=1)  # row b+l of a+_l |b>, or 0 at weight 0
+    c = np.take_along_axis(create, row[:, None], axis=1)[:, 0]
+    P, w = row * create.shape[1] + row[:, None], c * c[:, None]
+    for x in (P, w):
+        x.flags.writeable = False
+    return P, w
 
 
 @lru_cache(maxsize=None)
@@ -49,35 +55,20 @@ def _level(d: int, n: int, statistics: Statistics) -> tuple[np.ndarray, np.ndarr
     e = a D + k the flat index of entry (a, k),
     Gamma_n.flat[e] = sum_t W.flat[P[t, e]] Gamma_{n-1}.flat[Q[t, e]] for
     W = w (x) V, w listing the weights c_l(a) m_i(k)^(-1/2)."""
-    basis, lower = enumerate_basis(d, n, statistics), enumerate_basis(d, n - 1, statistics)
-    create = np.array([creation_matrix(l, lower, basis) for l in range(d)]).transpose(1, 0, 2)
+    create = _creations(d, n, statistics).transpose(1, 0, 2)
+    size, _, lower = create.shape
     a, l, b = np.nonzero(create)  # row a, mode l and row a-l, by a then l
     t = np.arange(a.size) - np.searchsorted(a, a)
-    L, A = np.zeros((2, min(n, d), basis.size), dtype=np.intp)
+    L, A = np.zeros((2, min(n, d), size), dtype=np.intp)
     c = np.zeros(L.shape)
     L[t, a], A[t, a], c[t, a] = l, b, create[a, l, b]
     # slot 0 of column k is its lowest mode i, with a+_i |k-i> = c[0, k] |k> = sqrt(m_i(k)) |k>
     w, code = np.unique(c[:, :, None] / c[0], return_inverse=True)
-    P = ((code.reshape(-1, basis.size, basis.size) * d + L[:, :, None]) * d + L[0]).reshape(len(L), -1)
-    Q = (A[:, :, None] * lower.size + A[0]).reshape(len(L), -1)
+    P = ((code.reshape(-1, size, size) * d + L[:, :, None]) * d + L[0]).reshape(len(L), -1)
+    Q = (A[:, :, None] * lower + A[0]).reshape(len(L), -1)
     for x in (w, P, Q):
         x.flags.writeable = False
     return w, P, Q
-
-
-def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Second-quantized one-body operator dGamma(M) = sum_ij M_ij a+_i a_j on
-    the n-sector, a contraction with the hopping tensor; M may be a stack
-    (..., d, d), giving (..., D, D).  Hermitian for Hermitian M; its eigenvalues
-    are sums of n eigenvalues of M (with repetition rules set by the statistics).
-    """
-    M = np.asarray(M, dtype=complex)
-    d = basis.d
-    if M.shape[-2:] != (d, d):
-        raise DimensionMismatch(f"M has shape {M.shape}, basis has d={d}")
-    E = _hopping(d, basis.n, basis.statistics)
-    lead = M.shape[:-2]
-    return (M.reshape(*lead, d * d) @ E.reshape(d * d, -1)).reshape(*lead, *E.shape[2:])
 
 
 def lift_unitary(V: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -142,13 +142,18 @@ def parse_state_text(text: str) -> ParsedState:
     if representation == "pure":
         v = np.zeros(basis.size, dtype=complex)
         v[index] = values
-        norm = float(np.linalg.norm(v))
+        scale = 1.0
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not math.isfinite(norm):  # |v|^2 overflows: measure v over its largest real or imaginary part
+            scale = float(np.abs(v.view(float)).max())
+            norm = float(np.linalg.norm(v / scale))
         if norm < 1e-12:
             raise StateFileError("pure state has (near-)zero norm")
-        normalized = abs(norm - 1.0) > 1e-12
+        normalized = abs(norm * scale - 1.0) > 1e-12
         if normalized:
-            warnings.warn(f"pure state had norm {norm!r}; normalized on parse")
-            v = v / norm
+            warnings.warn(f"pure state had norm {norm * scale!r}; normalized on parse")
+            v = v / scale / norm
         return ParsedState(basis, "pure", label, v, None, normalized)
 
     rho = np.zeros(basis.size ** 2, dtype=complex)

@@ -1,5 +1,6 @@
 """Shared test utilities, including an independent tensor-power construction
-of the lifted unitary used as the oracle for the lift."""
+of the lifted unitary used as the oracle for the lift, and the dense hopping
+tensor used as the oracle for one-body reductions."""
 import itertools
 import math
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 
 from qcorr import (FockBasis, InvalidDimension, StateFileError, Statistics,
-                   check_density_matrix, enumerate_basis)
+                   check_density_matrix, creation_matrix, enumerate_basis)
 from qcorr.statefile import ParsedState
 
 
@@ -60,6 +61,41 @@ def reference_lift(V: np.ndarray, basis: FockBasis) -> np.ndarray:
     (anti)symmetric subspace."""
     T = symmetrized_isometry(basis)
     return T.conj().T @ tensor_power(V, basis.n) @ T
+
+
+def hopping_tensor(basis: FockBasis) -> np.ndarray:
+    """Dense E[i, j] = a+_i a_j on the sector, shape (d, d, D, D), from the
+    creation matrices."""
+    d, n = basis.d, basis.n
+    if n == 0:
+        return np.zeros((d, d, 1, 1), dtype=complex)
+    lower = enumerate_basis(d, n - 1, basis.statistics)
+    create = np.array([creation_matrix(i, lower, basis) for i in range(d)])
+    return np.einsum("iak,jbk->ijab", create, create).astype(complex)
+
+
+def lift_observable(M: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """dGamma(M) = sum_ij M_ij a+_i a_j on the sector, for M or a stack
+    (..., d, d) of them, giving (..., D, D): the hopping-tensor referee of the
+    lift, whose generators it exponentiates, and of the gradient."""
+    M = np.asarray(M, dtype=complex)
+    E = hopping_tensor(basis)
+    lead, d = M.shape[:-2], basis.d
+    return (M.reshape(*lead, d * d) @ E.reshape(d * d, -1)).reshape(*lead, *E.shape[2:])
+
+
+def reference_rdm(rho: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """R_ij = Tr(rho E_ij) by the dense hopping tensor, Hermitian part."""
+    R = np.einsum("ijab,ba->ij", hopping_tensor(basis), rho)
+    return (R + R.conj().T) / 2
+
+
+def reference_coordinates(C: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """2 (Re, Im) Tr(E_ji (-iC)) for each pair i < j, row-major, of C (..., D, D)."""
+    rows, cols = np.triu_indices(basis.d, k=1)
+    E = hopping_tensor(basis)[cols, rows]
+    z = np.einsum("kab,...ba->...k", E, -2j * C)
+    return np.stack((z.real, z.imag), axis=-1).reshape(*z.shape[:-1], -1)
 
 
 def equal_quantumness_forms(rho: np.ndarray, basis: FockBasis, rotations) -> list:
@@ -304,13 +340,18 @@ def reference_parse_state_text(text: str) -> ParsedState:
         v = np.zeros(basis.size, dtype=complex)
         for (i,), amp in entries.items():
             v[i] = amp
-        norm = float(np.linalg.norm(v))
+        scale = 1.0
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not math.isfinite(norm):  # |v|^2 overflows: measure v over its largest real or imaginary part
+            scale = float(np.abs(v.view(float)).max())
+            norm = float(np.linalg.norm(v / scale))
         if norm < 1e-12:
             raise StateFileError("pure state has (near-)zero norm")
-        normalized = abs(norm - 1.0) > 1e-12
+        normalized = abs(norm * scale - 1.0) > 1e-12
         if normalized:
-            warnings.warn(f"pure state had norm {norm!r}; normalized on parse")
-            v = v / norm
+            warnings.warn(f"pure state had norm {norm * scale!r}; normalized on parse")
+            v = v / scale / norm
         return ParsedState(basis, "pure", label, v, None, normalized)
 
     rho = np.zeros((basis.size, basis.size), dtype=complex)

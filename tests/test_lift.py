@@ -12,7 +12,6 @@ from qcorr import (
     build_family,
     enumerate_basis,
     haar_random_unitary,
-    lift_observable,
     lift_unitary,
     max_corr_coefficients,
     projected_entropy,
@@ -22,7 +21,7 @@ from qcorr import (
 from qcorr import lift
 from qcorr.lift import _haar_stack
 
-from helpers import plus_minus_rotation, random_density, reference_lift
+from helpers import lift_observable, plus_minus_rotation, random_density, reference_lift
 
 SECTORS = [(2, 2, Statistics.BOSONIC), (3, 2, Statistics.BOSONIC),
            (3, 2, Statistics.FERMIONIC), (4, 2, Statistics.FERMIONIC),

@@ -1,6 +1,8 @@
 """The local solver under every minimization: L-BFGS on U(d), re-centred at
 each step, with an analytic gradient for each searched objective, an escape
 scan out of the -p log p traps, and a frozen regression panel."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,17 +16,18 @@ from qcorr import (
     classify_report,
     enumerate_basis,
     haar_random_unitary,
-    lift_observable,
     lift_unitary,
     make_classical_state,
+    one_particle_rdm,
     projected_entropy,
     quantumness,
     relative_entropy,
 )
-from qcorr import correlations
+from qcorr import correlations, lift
 from qcorr.measurement import MeasurementFamily, build_family, dephase
 
-from helpers import count_calls, random_density, random_pure, reference_lift, two_loop
+from helpers import (count_calls, lift_observable, random_density, random_pure, reference_coordinates,
+                     reference_lift, reference_rdm, two_loop)
 
 B, F = Statistics.BOSONIC, Statistics.FERMIONIC
 
@@ -293,6 +296,63 @@ def test_searches_take_no_sector_sized_eigh(monkeypatch):
     assert scans and rep.label is Classification.CLASSICAL_ONLY_C
     assert eigh and {shape[-1] for shape in eigh} == {basis.d}
     assert not hasattr(correlations, "lift_observable")
+    assert not any(hasattr(lift, name) for name in ("_hopping", "lift_observable"))
+
+
+@pytest.mark.parametrize("sector", [(3, 0, B), (4, 1, F), (1, 3, B), (3, 2, F), (4, 3, F),
+                                    (2, 5, B), (3, 3, B), (5, 4, B)],
+                         ids=lambda s: f"{s[0]}-{s[1]}-{s[2].value[0].upper()}")
+def test_one_body_gathers_match_the_hopping_tensor(sector, monkeypatch):
+    # the one-particle RDM and the gradient coordinates gather from the sector's
+    # one-body table; the dense hopping tensor of tests/helpers.py is their referee
+    basis = enumerate_basis(*sector)
+    rng = np.random.default_rng([sector[0], sector[1], 47])
+    D = basis.size
+    C = rng.standard_normal((3, D, D)) + 1j * rng.standard_normal((3, D, D))
+    table = correlations._pair_table(basis)
+    g = correlations._coordinates(C, table)
+    assert_allclose(g, reference_coordinates(C, basis), rtol=0, atol=1e-13)
+    for k in range(3):  # a stack gathers bitwise as its members
+        assert np.array_equal(g[k], correlations._coordinates(C[k], table))
+    rho = random_density(D, rng, rank=min(3, D))
+    assert_allclose(one_particle_rdm(rho, basis), reference_rdm(rho, basis), rtol=0, atol=1e-13)
+    # each gradient's coordinates of its own C at a random point
+    seen, coordinates = [], correlations._coordinates
+
+    def spy(C, table):
+        seen.append((C, coordinates(C, table)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(correlations, "_coordinates", spy)
+    G = lift_unitary(haar_random_unitary(basis.d, rng), basis)
+    for name, (make, _) in GRADIENTS.items():
+        make(rho, basis)(G)
+        C, g = seen[-1]
+        assert_allclose(g, reference_coordinates(C, basis), rtol=0, atol=1e-13, err_msg=name)
+    assert len(seen) == len(GRADIENTS)
+
+
+def test_one_body_reductions_hold_no_sector_sized_table():
+    # with every table of the lift and the search built afresh, the
+    # natural-orbital start and one call of each gradient peak below the size
+    # of a dense D^2 x (d^2 - d)/2 complex table of the gradient coordinates
+    basis = enumerate_basis(5, 4, B)
+    rng = np.random.default_rng(53)
+    rho = random_density(basis.size, rng, rank=3)
+    G = lift_unitary(haar_random_unitary(basis.d, rng), basis)
+    for module in (lift, correlations):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    tracemalloc.start()
+    try:
+        correlations._natural_orbitals(rho, basis)
+        for make, _ in GRADIENTS.values():
+            make(rho, basis)(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * basis.size ** 2 * (basis.d ** 2 - basis.d) // 2
 
 
 @pytest.mark.parametrize("sector", [(3, 2, B), (4, 2, F), (3, 3, B), (6, 3, F), (2, 5, B)],

@@ -93,6 +93,16 @@ def test_unnormalized_pure_warns_and_normalizes():
     assert_allclose(st.vector, [0.6, 0.8], atol=1e-15)
 
 
+def test_huge_pure_amplitudes_normalize_to_a_unit_vector():
+    # |v|^2 overflows for these finite amplitudes, so the parser measures them scaled
+    text = "d 2\nn 1\nstatistics bosonic\nrepresentation pure\n0 1e200 0.0\n1 1e200 0.0\n"
+    with pytest.warns(UserWarning, match=r"norm 1\.414\d*e\+200; normalized") as record:
+        st = parse_state_text(text)
+    assert [w.category for w in record] == [UserWarning]
+    assert st.normalized_on_parse
+    assert_allclose(st.vector, [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
+
+
 def test_zero_norm_pure_rejected():
     text = "d 2\nn 1\nstatistics fermionic\nrepresentation pure\n0 0.0 0.0\n"
     with pytest.raises(StateFileError, match="zero norm"):
